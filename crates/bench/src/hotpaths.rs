@@ -1,7 +1,7 @@
 //! Hot-path work accounting for the bench-regression gate.
 //!
 //! The optimizations this repo layers onto the traversal hot path
-//! (stackless rope traversal, SoA leaf tests, containment fast path,
+//! (wide-node SIMD traversal, SoA leaf tests, containment fast path,
 //! fused main kernels) are all justified by *work counters*: distance
 //! computations, BVH node visits, kernel launches. This module pins
 //! those counters on a fixed algorithm × dataset matrix so a regression
@@ -32,7 +32,7 @@ use fdbscan_device::{Device, DeviceConfig};
 use crate::Algo;
 
 /// Schema tag of the document [`HotpathsReport::write`] produces. `v2`
-/// added the wide-traversal counters and the `/wide` matrix cases.
+/// added the wide-traversal counters.
 pub const HOTPATHS_SCHEMA: &str = "fdbscan.bench_hotpaths.v2";
 
 /// Dataset seed shared by every case, so the matrix is one deterministic
@@ -40,9 +40,9 @@ pub const HOTPATHS_SCHEMA: &str = "fdbscan.bench_hotpaths.v2";
 pub const HOTPATHS_SEED: u64 = 42;
 
 /// The work counters the regression gate guards, in serialization order.
-/// The wide counters are zero on binary-layout cases by construction;
-/// on `/wide` cases they pin how much of the traversal actually ran
-/// through the batched path.
+/// The wide counters pin how much of the traversal ran through the
+/// batched node tests and leaf-run scans; they are zero on the
+/// baselines, which build no tree.
 pub const GUARDED_COUNTERS: [&str; 5] = [
     "kernel_launches",
     "distance_computations",
@@ -65,26 +65,20 @@ pub struct HotpathCase {
     pub n: usize,
     /// DBSCAN parameters.
     pub params: Params,
-    /// Run with the wide (BVH8) layout instead of the binary rope.
-    pub wide: bool,
 }
 
 impl HotpathCase {
-    /// Stable identifier (`algorithm/dataset`, plus a `/wide` suffix on
-    /// wide-layout cases), the join key between a fresh run and the
-    /// checked-in baseline.
+    /// Stable identifier (`algorithm/dataset`), the join key between a
+    /// fresh run and the checked-in baseline.
     pub fn id(&self) -> String {
-        let suffix = if self.wide { "/wide" } else { "" };
-        format!("{}/{}{suffix}", self.algo.name(), self.dataset)
+        format!("{}/{}", self.algo.name(), self.dataset)
     }
 }
 
 /// The fixed matrix: all four algorithms over the three 2-D families,
-/// plus the two tree-based algorithms over the 3-D cosmology snapshot —
-/// and every tree-based cell repeated on the wide (BVH8) layout, so a
-/// regression in either traversal path is caught independently. Sizes
-/// are modest so the suite stays cheap in debug builds; the counters
-/// are exact, not sampled, so small n still pins the hot path.
+/// plus the two tree-based algorithms over the 3-D cosmology snapshot.
+/// Sizes are modest so the suite stays cheap in debug builds; the
+/// counters are exact, not sampled, so small n still pins the hot path.
 pub fn hotpath_matrix() -> Vec<HotpathCase> {
     let mut cases = Vec::new();
     for kind in Dataset2::ALL {
@@ -94,23 +88,17 @@ pub fn hotpath_matrix() -> Vec<HotpathCase> {
             Dataset2::RoadNetwork => Params::new(0.08, 20),
         };
         for algo in Algo::ALL {
-            cases.push(HotpathCase { algo, dataset: kind.name(), n: 2000, params, wide: false });
-        }
-        for algo in Algo::TREE {
-            cases.push(HotpathCase { algo, dataset: kind.name(), n: 2000, params, wide: true });
+            cases.push(HotpathCase { algo, dataset: kind.name(), n: 2000, params });
         }
     }
     let cosmo_eps = crate::scaled_cosmo_eps(4000);
-    for wide in [false, true] {
-        for algo in Algo::TREE {
-            cases.push(HotpathCase {
-                algo,
-                dataset: "cosmology",
-                n: 4000,
-                params: Params::new(cosmo_eps, 5),
-                wide,
-            });
-        }
+    for algo in Algo::TREE {
+        cases.push(HotpathCase {
+            algo,
+            dataset: "cosmology",
+            n: 4000,
+            params: Params::new(cosmo_eps, 5),
+        });
     }
     cases
 }
@@ -201,10 +189,7 @@ pub struct HotpathsReport {
 pub fn collect_hotpaths() -> HotpathsReport {
     let mut records = Vec::new();
     for case in hotpath_matrix() {
-        // Width pinned per cell so the ambient `FDBSCAN_BVH_WIDTH`
-        // cannot skew a baseline or a gate run.
-        let width = if case.wide { 8 } else { 2 };
-        let device = Device::new(DeviceConfig::sequential().with_bvh_width(width));
+        let device = Device::new(DeviceConfig::sequential());
         let stats = if case.dataset == "cosmology" {
             let points = default_snapshot(case.n, HOTPATHS_SEED);
             case.algo.run3(&device, &points, case.params)
@@ -243,7 +228,8 @@ impl HotpathsReport {
 /// `BENCH_hotpaths.json`.
 #[derive(Clone, Debug)]
 pub struct HotpathsBaseline {
-    /// `(case id, [(counter name, value); 3])` in file order.
+    /// `(case id, [(counter name, value); 5])` in file order, keyed
+    /// like [`GUARDED_COUNTERS`].
     pub cases: Vec<(String, Vec<(String, u64)>)>,
     /// `(case id, [(phase name, launches); 4])` in file order, keyed
     /// like [`PHASE_KEYS`].
@@ -310,15 +296,11 @@ mod tests {
     #[test]
     fn matrix_is_fixed_and_ids_unique() {
         let matrix = hotpath_matrix();
-        assert_eq!(matrix.len(), 22, "3 datasets x (4 algos + 2 wide) + cosmology x 2 x 2 layouts");
+        assert_eq!(matrix.len(), 14, "3 datasets x 4 algos + cosmology x 2 tree algos");
         let mut ids: Vec<String> = matrix.iter().map(|c| c.id()).collect();
         ids.sort();
         ids.dedup();
-        assert_eq!(ids.len(), 22, "case ids must be unique join keys");
-        assert_eq!(matrix.iter().filter(|c| c.wide).count(), 8, "every tree cell has a wide twin");
-        for case in matrix.iter().filter(|c| c.wide) {
-            assert!(case.id().ends_with("/wide"), "wide cases must be distinguishable join keys");
-        }
+        assert_eq!(ids.len(), 14, "case ids must be unique join keys");
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //!    the inverse permutation directly — the old `bvh.morton` and
 //!    `bvh.permute` kernels are folded away,
 //! 3. **`bvh.build_bottom_up`** — one kernel, one thread per leaf, that
-//!    emits the internal topology, merges AABBs, *and* derives the rope
-//!    skip links in the same climb. Threads start at their leaf and walk
-//!    toward the root; at each completed node the thread deposits its
-//!    subtree at the merge boundary and dies unless it is the second to
-//!    arrive (per-boundary arrival counters), in which case it creates
-//!    the parent and keeps climbing. Exactly one thread reaches the root.
+//!    emits the internal topology and merges AABBs in the same climb.
+//!    Threads start at their leaf and walk toward the root; at each
+//!    completed node the thread deposits its subtree at the merge
+//!    boundary and dies unless it is the second to arrive (per-boundary
+//!    arrival counters), in which case it creates the parent and keeps
+//!    climbing. Exactly one thread reaches the root.
 //!
 //! The parent of a completed range `[F, L]` merges toward the outer
 //! neighbor with the longer common prefix (Apetrei's observation); with
@@ -27,13 +27,9 @@
 //! tree — node indices are computed closed-form from the range ends, so
 //! `children`/`ranges` keep their Karras layout (root at internal 0).
 //!
-//! Ropes fall out of the same pass: when a parent with children `(l, r)`
-//! is created, every node on the right spine of `l`'s subtree (including
-//! `l`) has its subtree end at the new split, so its rope is exactly
-//! `r`; the creating thread walks that spine and assigns it. The root's
-//! creator terminates the root's right spine with [`NodeRef::NONE`].
-//! Every node lies on exactly one such spine, so each rope is written
-//! once and the aggregate walk cost is `O(n)`.
+//! The finished binary tree is then collapsed host-side into the wide
+//! (BVH8) layout that queries walk ([`crate::wide`]); the collapse is
+//! allocation-only, so construction stays at three launches.
 //!
 //! Ties between equal Morton codes are broken with the primitive index
 //! (the standard `code ## index` augmentation), so duplicate positions —
@@ -53,6 +49,7 @@ use fdbscan_geom::{
 };
 
 use crate::node::NodeRef;
+use crate::wide::{collapse, WideBvh};
 use crate::Bvh;
 
 impl<const D: usize> Bvh<D> {
@@ -97,12 +94,10 @@ impl<const D: usize> Bvh<D> {
                 leaf_bounds: Vec::new(),
                 leaf_payload: Vec::new(),
                 positions: Vec::new(),
-                internal_skip: Vec::new(),
-                leaf_skip: Vec::new(),
                 leaf_lo: SoaPoints::new(),
                 leaf_hi: SoaPoints::new(),
                 scene: Aabb::empty(),
-                wide: None,
+                wide: WideBvh::default(),
             });
         }
         assert!(n < (1usize << 31), "primitive count exceeds NodeRef range");
@@ -163,23 +158,19 @@ impl<const D: usize> Bvh<D> {
                 leaf_bounds,
                 leaf_payload: payload,
                 positions,
-                internal_skip: Vec::new(),
-                leaf_skip: vec![NodeRef::NONE],
                 leaf_lo,
                 leaf_hi,
                 scene,
-                wide: None,
+                wide: WideBvh::default(),
             });
         }
 
-        // 3. Single bottom-up pass: topology + bounds + ropes + SoA leaf
-        //    corners, one thread per leaf.
+        // 3. Single bottom-up pass: topology + bounds + SoA leaf corners,
+        //    one thread per leaf.
         let internal_count = n - 1;
         let mut children = vec![[NodeRef::internal(0); 2]; internal_count];
         let mut ranges = vec![[0u32; 2]; internal_count];
         let mut internal_bounds = vec![Aabb::<D>::empty(); internal_count];
-        let mut internal_skip = vec![NodeRef::NONE; internal_count];
-        let mut leaf_skip = vec![NodeRef::NONE; n];
         let mut lo_flat = vec![0.0f32; D * n];
         let mut hi_flat = vec![0.0f32; D * n];
 
@@ -196,8 +187,6 @@ impl<const D: usize> Bvh<D> {
             let children_view = SharedMut::new(&mut children);
             let ranges_view = SharedMut::new(&mut ranges);
             let bounds_view = SharedMut::new(&mut internal_bounds);
-            let iskip_view = SharedMut::new(&mut internal_skip);
-            let lskip_view = SharedMut::new(&mut leaf_skip);
             let lo_view = SharedMut::new(&mut lo_flat);
             let hi_view = SharedMut::new(&mut hi_flat);
             let pnode_view = SharedMut::new(&mut pend_node[..]);
@@ -205,26 +194,6 @@ impl<const D: usize> Bvh<D> {
             let pbounds_view = SharedMut::new(&mut pend_bounds[..]);
             let codes_ref: &[u64] = &codes;
             let leaf_bounds_ref = &leaf_bounds;
-
-            // Assigns `rope` to `from` and the whole right spine of its
-            // subtree: each of those nodes' subtrees ends where `from`'s
-            // does, so they share the rope. Reads of descendants'
-            // children are ordered by the arrival-flag acquire chain.
-            let assign_spine = |from: NodeRef, rope: NodeRef| {
-                let mut x = from;
-                loop {
-                    // SAFETY: every node lies on exactly one assigned
-                    // spine, so its rope slot has a single writer.
-                    if x.is_leaf() {
-                        unsafe { lskip_view.write(x.index() as usize, rope) };
-                        return;
-                    }
-                    unsafe {
-                        iskip_view.write(x.index() as usize, rope);
-                        x = children_view.read(x.index() as usize)[1];
-                    }
-                }
-            };
 
             device.try_launch_named("bvh.build_bottom_up", n, |leaf| {
                 // Dimension-major leaf corners (SoA traversal lanes).
@@ -245,10 +214,7 @@ impl<const D: usize> Bvh<D> {
                 let mut nb = lb;
                 loop {
                     if first == 0 && last == n - 1 {
-                        // `node` is the root: nothing follows its
-                        // subtree, so its right spine ropes to NONE.
-                        assign_spine(node, NodeRef::NONE);
-                        return;
+                        return; // `node` is the root
                     }
                     // Merge toward the outer neighbor with the longer
                     // common prefix. Augmented codes are distinct, so
@@ -307,9 +273,6 @@ impl<const D: usize> Bvh<D> {
                         ranges_view.write(parent, [nf as u32, nl as u32]);
                         bounds_view.write(parent, merged);
                     }
-                    // The left child's right spine ends at the new
-                    // split, so it ropes to the right child.
-                    assign_spine(lchild, rchild);
                     node = NodeRef::internal(parent as u32);
                     first = nf;
                     last = nl;
@@ -325,94 +288,30 @@ impl<const D: usize> Bvh<D> {
             leaf_bounds,
             leaf_payload: payload,
             positions,
-            internal_skip,
-            leaf_skip,
             leaf_lo: SoaPoints::from_dim_major(lo_flat, n),
             leaf_hi: SoaPoints::from_dim_major(hi_flat, n),
             scene,
-            wide: None,
+            wide: WideBvh::default(),
         };
-        // Host-side wide derivation when the device selects width 8: no
-        // extra launch, so the build stays exactly three kernels.
-        bvh.ensure_width(device.bvh_width());
+        // Host-side collapse: no extra launch, so the build stays
+        // exactly three kernels.
+        bvh.wide = collapse(&bvh);
         Ok(bvh)
     }
 
-    /// Recomputes the derived traversal structures — rope skip links and
-    /// the dimension-major leaf corners — from the core arrays.
+    /// Recomputes the derived traversal structures — the
+    /// dimension-major leaf corners and the wide layout — from the core
+    /// arrays.
     ///
-    /// [`Bvh::build_in`] fills the same data inside the
-    /// `bvh.build_bottom_up` kernel; this host-side twin serves snapshot
-    /// restore, where no device is in scope. Parent links are not
-    /// serialized (they are build scaffolding) and are rederived from
-    /// `children` here.
+    /// [`Bvh::build_in`] fills the same data during construction; this
+    /// host-side twin serves snapshot restore, where no device is in
+    /// scope.
     pub(crate) fn derive_traversal(&mut self) {
-        let n = self.len();
         let mins: Vec<_> = self.leaf_bounds.iter().map(|b| b.min).collect();
         let maxs: Vec<_> = self.leaf_bounds.iter().map(|b| b.max).collect();
         self.leaf_lo = SoaPoints::from_points(&mins);
         self.leaf_hi = SoaPoints::from_points(&maxs);
-        if n < 2 {
-            self.internal_skip = Vec::new();
-            self.leaf_skip = vec![NodeRef::NONE; n];
-            return;
-        }
-        let mut internal_parent = vec![0u32; n - 1];
-        let mut leaf_parent = vec![0u32; n];
-        for (i, pair) in self.children.iter().enumerate() {
-            for child in pair {
-                if child.is_leaf() {
-                    leaf_parent[child.index() as usize] = i as u32;
-                } else {
-                    internal_parent[child.index() as usize] = i as u32;
-                }
-            }
-        }
-        self.internal_skip = (0..n - 1)
-            .map(|i| {
-                skip_link(
-                    &self.children,
-                    &internal_parent,
-                    &leaf_parent,
-                    NodeRef::internal(i as u32),
-                )
-            })
-            .collect();
-        self.leaf_skip = (0..n)
-            .map(|pos| {
-                skip_link(&self.children, &internal_parent, &leaf_parent, NodeRef::leaf(pos as u32))
-            })
-            .collect();
-    }
-}
-
-/// The rope of `node`: the next node in preorder after `node`'s subtree,
-/// or [`NodeRef::NONE`] when the subtree is the tail of the preorder.
-///
-/// Walks up while `node` is a right child; the first ancestor that is a
-/// left child yields its right sibling. Every step strictly decreases the
-/// subtree depth, so the walk is bounded by the tree depth.
-fn skip_link(
-    children: &[[NodeRef; 2]],
-    internal_parent: &[u32],
-    leaf_parent: &[u32],
-    node: NodeRef,
-) -> NodeRef {
-    let mut cur = node;
-    loop {
-        if !cur.is_leaf() && cur.index() == 0 {
-            return NodeRef::NONE; // root: nothing follows its subtree
-        }
-        let parent = if cur.is_leaf() {
-            leaf_parent[cur.index() as usize]
-        } else {
-            internal_parent[cur.index() as usize]
-        };
-        let [left, right] = children[parent as usize];
-        if cur == left {
-            return right;
-        }
-        cur = NodeRef::internal(parent);
+        self.wide = collapse(self);
     }
 }
 
@@ -503,53 +402,6 @@ mod tests {
         assert!(payload_sorted.iter().enumerate().all(|(i, &p)| p == i as u32));
         for id in 0..n as u32 {
             assert_eq!(bvh.leaf_payload(bvh.leaf_pos_of(id)), id);
-        }
-
-        // Ropes: a full descent that always takes the left child and
-        // follows leaf ropes must enumerate the exact preorder sequence.
-        let mut preorder = Vec::new();
-        let mut stack = vec![NodeRef::internal(0)];
-        while let Some(node) = stack.pop() {
-            preorder.push(node);
-            if !node.is_leaf() {
-                let [l, r] = bvh.children[node.index() as usize];
-                stack.push(r);
-                stack.push(l);
-            }
-        }
-        let mut via_ropes = Vec::new();
-        let mut node = NodeRef::internal(0);
-        while node != NodeRef::NONE {
-            via_ropes.push(node);
-            node = if node.is_leaf() {
-                bvh.leaf_skip[node.index() as usize]
-            } else {
-                bvh.children[node.index() as usize][0]
-            };
-        }
-        assert_eq!(via_ropes, preorder, "rope walk diverges from preorder");
-
-        // Every rope must land on the subtree starting right after the
-        // node's covered leaf range (NONE only for range suffixes).
-        let first_of = |r: NodeRef| {
-            if r.is_leaf() {
-                r.index()
-            } else {
-                bvh.ranges[r.index() as usize][0]
-            }
-        };
-        for i in 0..(n - 1) {
-            let last = bvh.ranges[i][1];
-            match bvh.internal_skip[i] {
-                NodeRef::NONE => assert_eq!(last as usize, n - 1),
-                skip => assert_eq!(first_of(skip), last + 1),
-            }
-        }
-        for pos in 0..n as u32 {
-            match bvh.leaf_skip[pos as usize] {
-                NodeRef::NONE => assert_eq!(pos as usize, n - 1),
-                skip => assert_eq!(first_of(skip), pos + 1),
-            }
         }
 
         // SoA leaf corners must mirror the AoS leaf bounds exactly.
@@ -695,15 +547,18 @@ mod tests {
 
     #[test]
     fn matches_host_derived_traversal() {
-        // The in-kernel ropes and SoA corners must agree exactly with
-        // the host-side twin used by snapshot restore.
+        // The in-kernel SoA corners and the wide layout collapsed after
+        // the build must agree exactly with the host-side twin used by
+        // snapshot restore.
         let device = Device::new(DeviceConfig::default().with_workers(3));
-        for n in [2usize, 3, 255, 2048] {
+        for n in [1usize, 2, 3, 255, 2048] {
             let bvh = Bvh::build(&device, &point_boxes(&random_points(n, 77 + n as u64)));
             let mut rederived = bvh.clone();
             rederived.derive_traversal();
-            assert_eq!(bvh.internal_skip, rederived.internal_skip, "n = {n}");
-            assert_eq!(bvh.leaf_skip, rederived.leaf_skip, "n = {n}");
+            assert_eq!(bvh.leaf_lo, rederived.leaf_lo, "n = {n}");
+            assert_eq!(bvh.leaf_hi, rederived.leaf_hi, "n = {n}");
+            assert_eq!(bvh.wide, rederived.wide, "n = {n}");
+            assert_eq!(bvh.wide.node_count() == 0, n < 2, "n = {n}");
         }
     }
 

@@ -28,6 +28,10 @@
 //! order of their box centers; `leaf_payload` maps a sorted position back
 //! to the caller's primitive id and `leaf_pos_of` is the inverse.
 //!
+//! Queries do not walk the binary tree itself: every build and snapshot
+//! restore collapses it into 8-wide nodes ([`wide`]) whose children are
+//! tested with one SIMD lane kernel per node.
+//!
 //! # Example
 //!
 //! ```
@@ -85,13 +89,6 @@ pub struct Bvh<const D: usize> {
     pub(crate) leaf_payload: Vec<u32>,
     /// Inverse of `leaf_payload`: sorted position of primitive id.
     pub(crate) positions: Vec<u32>,
-    /// Rope of internal node `i`: the next node in preorder *after* `i`'s
-    /// subtree ([`NodeRef::NONE`] past the end). Following the rope is
-    /// "skip this subtree"; the stackless traversal replaces every stack
-    /// pop with one rope load.
-    pub(crate) internal_skip: Vec<NodeRef>,
-    /// Rope of sorted leaf `pos` (a leaf's subtree is itself).
-    pub(crate) leaf_skip: Vec<NodeRef>,
     /// Lower leaf corners, dimension-major (`dim(d)[pos]`): the
     /// coalescing-friendly layout the per-leaf distance test strides.
     pub(crate) leaf_lo: SoaPoints<D>,
@@ -99,9 +96,10 @@ pub struct Bvh<const D: usize> {
     pub(crate) leaf_hi: SoaPoints<D>,
     /// Bounds of the whole scene.
     pub(crate) scene: Aabb<D>,
-    /// Optional wide (BVH8) layout derived from the binary arrays by
-    /// [`Bvh::ensure_width`]; never serialized (snapshots re-derive it).
-    pub(crate) wide: Option<wide::WideBvh<D>>,
+    /// Wide (BVH8) layout the traversal walks, collapsed from the binary
+    /// arrays after every build and restore; never serialized. Empty
+    /// for trees with fewer than two leaves.
+    pub(crate) wide: wide::WideBvh<D>,
 }
 
 impl<const D: usize> Bvh<D> {
@@ -147,10 +145,8 @@ impl<const D: usize> Bvh<D> {
             + self.leaf_bounds.len() * std::mem::size_of::<Aabb<D>>()
             + self.leaf_payload.len() * std::mem::size_of::<u32>()
             + self.positions.len() * std::mem::size_of::<u32>()
-            + self.internal_skip.len() * std::mem::size_of::<NodeRef>()
-            + self.leaf_skip.len() * std::mem::size_of::<NodeRef>()
             + self.leaf_lo.memory_bytes()
             + self.leaf_hi.memory_bytes()
-            + self.wide.as_ref().map_or(0, |w| w.memory_bytes())
+            + self.wide.memory_bytes()
     }
 }

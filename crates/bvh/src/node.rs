@@ -13,10 +13,6 @@ pub const LEAF_FLAG: u32 = 1 << 31;
 pub struct NodeRef(pub u32);
 
 impl NodeRef {
-    /// The "no node" sentinel used by the rope (skip-link) traversal:
-    /// following a rope off the end of the preorder sequence lands here.
-    pub const NONE: NodeRef = NodeRef(u32::MAX);
-
     /// Creates a reference to internal node `i`.
     #[inline]
     pub fn internal(i: u32) -> Self {

@@ -101,15 +101,13 @@ impl<const D: usize> Checkpointable for Bvh<D> {
             leaf_bounds,
             leaf_payload,
             positions,
-            internal_skip: Vec::new(),
-            leaf_skip: Vec::new(),
             leaf_lo: fdbscan_geom::SoaPoints::new(),
             leaf_hi: fdbscan_geom::SoaPoints::new(),
             scene: scene[0],
-            wide: None,
+            wide: crate::wide::WideBvh::default(),
         };
-        // Ropes and SoA corners are derived data: not serialized (the
-        // snapshot format predates them), rebuilt on restore instead.
+        // SoA corners and wide nodes are derived data: not serialized
+        // (the snapshot format predates them), rebuilt on restore instead.
         bvh.derive_traversal();
         Ok(bvh)
     }
@@ -138,6 +136,8 @@ mod tests {
         let restored = Bvh::<2>::from_snapshot(&bvh.to_snapshot()).unwrap();
         // Full-state equality via the canonical serialization.
         assert_eq!(restored.to_snapshot(), bvh.to_snapshot());
+        // The wide layout is re-derived, not serialized, and must match.
+        assert_eq!(restored.wide, bvh.wide);
         // And the restored tree answers queries identically.
         for probe in [[0.0, 0.0], [4.5, 6.5], [100.0, -3.0]] {
             let q = Point2::new(probe);

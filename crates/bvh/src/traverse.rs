@@ -1,10 +1,10 @@
 //! Batched radius queries with callbacks, early termination and masking.
 //!
-//! The production traversal is *stackless*: every node carries a
-//! precomputed rope (skip link) to the next node in preorder after its
-//! subtree, so "descend" is one child load and "skip" is one rope load —
-//! no per-query stack, no pops, no divergent frontier bookkeeping. Two
-//! work-saving tests run per internal node:
+//! This module holds the public query API and the pieces shared with the
+//! walk: the root pre-checks and the containment emitter. The walk itself
+//! runs over the wide (BVH8) layout (see [`crate::wide`]), which tests all
+//! children of a node with one lane kernel. Two work-saving tests apply
+//! to every node it classifies:
 //!
 //! * **rejection** — `dist_sq(center, box) > eps²` skips the subtree,
 //! * **containment** — `max_dist_sq(center, box) <= eps²` accepts the
@@ -12,15 +12,15 @@
 //!   sorted-leaf range with *no* per-leaf distance tests (counted in
 //!   [`QueryStats::contained_hits`]).
 //!
-//! Per-leaf distance tests stride the dimension-major SoA corner arrays
-//! and exit early once the partial sum exceeds `eps²`; accepted values
-//! are bit-identical to the array-of-structures [`fdbscan_geom::Aabb`]
-//! test, so results match the stack-based reference exactly.
+//! A `#[cfg(test)]` stack-based walk of the binary tree is kept as the
+//! differential reference: the production walk must report exactly its
+//! hit set, in ascending sorted-leaf order.
 
 use std::ops::ControlFlow;
 
 use fdbscan_geom::Point;
 
+#[cfg(test)]
 use crate::node::NodeRef;
 use crate::Bvh;
 
@@ -39,10 +39,8 @@ pub struct QueryStats {
     /// Whether the callback terminated the traversal early.
     pub terminated_early: bool,
     /// Wide (BVH8) nodes classified with one 8-lane kernel call each.
-    /// Zero on the binary rope path.
     pub wide_nodes_visited: u64,
-    /// 8-wide lane batches spent scanning wide leaf runs. Zero on the
-    /// binary rope path.
+    /// 8-wide lane batches spent scanning wide leaf runs.
     pub wide_leaf_lanes: u64,
 }
 
@@ -129,60 +127,7 @@ impl<const D: usize> Bvh<D> {
             return stats;
         }
 
-        // Wide dispatch: same pre-checks, same hit set, lane-parallel
-        // node tests (see `wide::WideBvh`). Selected per device via
-        // `FDBSCAN_BVH_WIDTH` / `DeviceConfig::with_bvh_width`.
-        if let Some(wide) = &self.wide {
-            self.wide_walk(wide, center, eps_sq, cutoff, &mut stats, &mut callback);
-            return stats;
-        }
-
-        let mut node = self.children[0][0];
-        while node != NodeRef::NONE {
-            if node.is_leaf() {
-                let pos = node.index();
-                // Index mask: skipped leaves are not visits.
-                if pos >= cutoff {
-                    stats.nodes_visited += 1;
-                    if self.leaf_within(pos, center, eps_sq) {
-                        stats.leaf_hits += 1;
-                        if callback(pos, self.leaf_payload[pos as usize], false).is_break() {
-                            stats.terminated_early = true;
-                            return stats;
-                        }
-                    }
-                }
-                node = self.leaf_skip[pos as usize];
-            } else {
-                let i = node.index() as usize;
-                // Index mask: subtrees entirely below the cutoff are
-                // skipped without counting a visit.
-                if self.ranges[i][1] < cutoff {
-                    node = self.internal_skip[i];
-                    continue;
-                }
-                stats.nodes_visited += 1;
-                let b = &self.internal_bounds[i];
-                if b.dist_sq(center) > eps_sq {
-                    node = self.internal_skip[i]; // subtree rejected
-                } else if b.max_dist_sq(center) <= eps_sq {
-                    // Subtree contained: accept every (unmasked) leaf in
-                    // its range without visiting or testing it.
-                    if self.emit_range(
-                        self.ranges[i][0],
-                        self.ranges[i][1],
-                        cutoff,
-                        &mut stats,
-                        &mut callback,
-                    ) {
-                        return stats;
-                    }
-                    node = self.internal_skip[i];
-                } else {
-                    node = self.children[i][0]; // descend
-                }
-            }
-        }
+        self.wide_walk(center, eps_sq, cutoff, &mut stats, &mut callback);
         stats
     }
 
@@ -211,36 +156,8 @@ impl<const D: usize> Bvh<D> {
         false
     }
 
-    /// Exact leaf bounds test against the SoA corner lanes, with
-    /// per-dimension early exit. The accumulation order matches
-    /// [`fdbscan_geom::Aabb::dist_sq`] exactly (and `f32` addition of
-    /// non-negatives is monotone), so the accept/reject decision is
-    /// bit-identical to the array-of-structures test.
-    #[inline]
-    fn leaf_within(&self, pos: u32, center: &Point<D>, eps_sq: f32) -> bool {
-        let i = pos as usize;
-        let mut acc = 0.0f32;
-        for d in 0..D {
-            let c = center[d];
-            let lo = self.leaf_lo.dim(d)[i];
-            let hi = self.leaf_hi.dim(d)[i];
-            let delta = if c < lo {
-                lo - c
-            } else if c > hi {
-                c - hi
-            } else {
-                0.0
-            };
-            acc += delta * delta;
-            if acc > eps_sq {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// The pre-rope stack-based traversal, kept as the differential
-    /// reference for the stackless implementation (tests only).
+    /// Stack-based walk of the binary tree, kept as the differential
+    /// reference for the wide walk (tests only).
     #[cfg(test)]
     pub(crate) fn for_each_in_radius_stack<F>(
         &self,
@@ -521,43 +438,33 @@ mod tests {
         assert_eq!(hits, vec![0, 2]);
     }
 
-    /// Runs the same query through the stackless traversal and the
+    /// Runs the same query through the production walk and the
     /// stack-based reference and checks:
-    /// * identical hit sets (position and payload),
-    /// * identical callback counts,
-    /// * the rope walk never visits more nodes than the stack walk.
+    /// * the callback sequence is strictly ascending in sorted-leaf
+    ///   position (the order border claims rely on),
+    /// * it equals the reference's hit set (position and payload),
+    /// * the visit counters add up: one root pre-check plus one per
+    ///   wide node and per leaf-run lane batch.
     fn assert_matches_stack_reference(bvh: &Bvh<2>, center: &Point<2>, eps: f32, cutoff: u32) {
-        // This helper pins the *binary rope* against the stack reference
-        // (its visit-count bound is rope-specific), so force the binary
-        // path even when FDBSCAN_BVH_WIDTH selected wide at build time.
-        // Wide-vs-binary equivalence is pinned in `wide::tests`.
-        let bvh = {
-            let mut b = bvh.clone();
-            b.ensure_width(2);
-            b
-        };
-        let bvh = &bvh;
-        let mut rope_hits = Vec::new();
-        let rope = bvh.for_each_in_radius(center, eps, cutoff, |pos, payload| {
-            rope_hits.push((pos, payload));
+        let mut hits = Vec::new();
+        let stats = bvh.for_each_in_radius(center, eps, cutoff, |pos, payload| {
+            hits.push((pos, payload));
             ControlFlow::Continue(())
         });
         let mut stack_hits = Vec::new();
-        let stack = bvh.for_each_in_radius_stack(center, eps, cutoff, |pos, payload| {
+        bvh.for_each_in_radius_stack(center, eps, cutoff, |pos, payload| {
             stack_hits.push((pos, payload));
             ControlFlow::Continue(())
         });
-        rope_hits.sort_unstable();
         stack_hits.sort_unstable();
-        assert_eq!(rope_hits, stack_hits, "hit sets diverge (eps {eps}, cutoff {cutoff})");
-        assert_eq!(rope.leaf_hits, stack.leaf_hits, "callback counts diverge");
         assert!(
-            rope.nodes_visited <= stack.nodes_visited,
-            "rope walk visited {} nodes, stack reference only {}",
-            rope.nodes_visited,
-            stack.nodes_visited
+            hits.windows(2).all(|w| w[0].0 < w[1].0),
+            "hits not strictly ascending (eps {eps}, cutoff {cutoff})"
         );
-        assert_eq!(rope.distance_tests() + rope.contained_hits, rope.leaf_hits);
+        assert_eq!(hits, stack_hits, "hit sets diverge (eps {eps}, cutoff {cutoff})");
+        assert_eq!(stats.leaf_hits, hits.len() as u64, "callback counts diverge");
+        assert_eq!(stats.distance_tests() + stats.contained_hits, stats.leaf_hits);
+        assert_eq!(stats.nodes_visited, 1 + stats.wide_nodes_visited + stats.wide_leaf_lanes);
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! Wide (BVH8) nodes: a SIMD re-layout of the binary LBVH for batched
-//! child tests.
+//! Wide (BVH8) nodes: the layout every radius query walks.
 //!
-//! The binary rope traversal tests one AABB per step — fundamentally
-//! scalar work. Collapsing the Karras tree into 8-wide nodes lets one
+//! A binary tree tests one AABB per step — fundamentally scalar work.
+//! Collapsing the Karras tree into 8-wide nodes lets one
 //! [`fdbscan_geom::simd::classify_lane_boxes`] call test all children of
 //! a node at once (rejection *and* containment masks in the same pass),
 //! and turns small subtrees into contiguous *leaf runs* scanned by the
@@ -10,11 +9,10 @@
 //! hardware, expressed here through the CPU's vector lanes.
 //!
 //! The wide layout is **derived** from the finished binary tree on the
-//! host (no extra device launch; the build stays three kernels) and is
-//! purely additive: the binary arrays remain intact and authoritative,
-//! snapshots never serialize wide nodes, and dropping the layout
-//! restores the oracle rope path bit for bit. Selection is per device
-//! via `FDBSCAN_BVH_WIDTH` / `DeviceConfig::with_bvh_width`.
+//! host after every build and snapshot restore (no extra device launch;
+//! the build stays three kernels). The binary arrays stay authoritative:
+//! snapshots serialize only them, and the test-only stack reference
+//! walks them.
 //!
 //! # Layout
 //!
@@ -37,6 +35,7 @@
 //! become child wide nodes, processed iteratively (no recursion, so
 //! degenerate spine-shaped trees cannot overflow the host stack).
 
+use std::mem::MaybeUninit;
 use std::ops::ControlFlow;
 
 use fdbscan_geom::simd::{self, LANES};
@@ -62,7 +61,7 @@ pub(crate) const RUN_THRESHOLD: u32 = 16;
 const EMPTY: u32 = u32::MAX;
 
 /// One 8-wide node: SoA child corners plus per-lane links.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WideNode<const D: usize> {
     /// Child lower corners, dimension-major lanes (`lo[d][lane]`).
     pub lo: [[f32; WIDTH]; D],
@@ -87,10 +86,10 @@ impl<const D: usize> WideNode<D> {
 }
 
 /// The derived wide layout of a [`Bvh`]: wide nodes in DFS order, node
-/// 0 collapsing the binary root. Only derived for trees with at least
-/// two leaves (smaller trees are fully handled by the traversal's
-/// root/leaf pre-checks).
-#[derive(Debug, Clone)]
+/// 0 collapsing the binary root. Empty for trees with fewer than two
+/// leaves (those are fully handled by the traversal's root/leaf
+/// pre-checks).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WideBvh<const D: usize> {
     pub(crate) nodes: Vec<WideNode<D>>,
 }
@@ -107,10 +106,13 @@ impl<const D: usize> WideBvh<D> {
     }
 }
 
-/// Collapses the finished binary tree into the wide layout. Host-side
-/// and allocation-only (plain `Vec`s, no arena buffers, no launches).
+/// Collapses the finished binary tree into the wide layout (empty below
+/// two leaves). Host-side and allocation-only (plain `Vec`s, no arena
+/// buffers, no launches).
 pub(crate) fn collapse<const D: usize>(bvh: &Bvh<D>) -> WideBvh<D> {
-    debug_assert!(bvh.len() >= 2, "wide layout requires an internal root");
+    if bvh.len() < 2 {
+        return WideBvh::default();
+    }
     let leaf_count = |r: NodeRef| -> u32 {
         if r.is_leaf() {
             1
@@ -148,7 +150,7 @@ pub(crate) fn collapse<const D: usize>(bvh: &Bvh<D>) -> WideBvh<D> {
             slots.extend(bvh.children[expanded.index() as usize]);
         }
         // Lanes in ascending sorted-leaf order, so the masked cutoff
-        // and the emit order both run low-to-high like the binary walk.
+        // and the emit order both run low-to-high.
         slots.sort_by_key(|&r| first_pos(r));
 
         let mut node = WideNode::empty();
@@ -180,50 +182,19 @@ pub(crate) fn collapse<const D: usize>(bvh: &Bvh<D>) -> WideBvh<D> {
 }
 
 impl<const D: usize> Bvh<D> {
-    /// Derives or drops the wide layout so the tree traverses at
-    /// `width`: `2` restores the pure binary rope path, `8` derives the
-    /// wide layout (a no-op if it is already present, and skipped for
-    /// trees too small to have an internal root). Host-side only — no
-    /// device launches, so snapshot-restored and freshly built trees
-    /// pay the same (zero) launch cost.
-    ///
-    /// # Panics
-    /// Panics on widths other than 2 or 8.
-    pub fn ensure_width(&mut self, width: usize) {
-        match width {
-            2 => self.wide = None,
-            8 => {
-                if self.wide.is_none() && self.len() >= 2 {
-                    self.wide = Some(collapse(self));
-                }
-            }
-            other => panic!("BVH width must be 2 or 8, got {other}"),
-        }
-    }
-
-    /// The derived wide layout, if [`Bvh::ensure_width`] selected it.
-    pub fn wide_layout(&self) -> Option<&WideBvh<D>> {
-        self.wide.as_ref()
-    }
-
-    /// The wide-node traversal body: called by
-    /// [`Bvh::for_each_in_radius_flagged`] after the shared root
-    /// pre-checks (mask, rejection, containment), with the same
-    /// callback/cutoff contract. One `classify_lane_boxes` call tests
+    /// The traversal body: called by [`Bvh::for_each_in_radius_flagged`]
+    /// after the root pre-checks (mask, rejection, containment), with the
+    /// same callback/cutoff contract. One `classify_lane_boxes` call tests
     /// all children of a node; contained lanes emit their sorted range,
     /// leaf-run lanes batch-scan their SoA corners, surviving internal
     /// lanes descend.
     ///
-    /// The callback *sequence* is identical to the binary rope walk:
-    /// both visit leaves in ascending sorted order (surviving lanes are
-    /// resolved strictly low-to-high via one LIFO action stack, so lane
-    /// `l`'s whole subtree fires before lane `l + 1` touches anything),
-    /// and each leaf's accept decision is bit-identical. This is
-    /// load-bearing: border claims are first-writer-wins, so identical
-    /// hit order is what makes final labels bit-identical across
-    /// layouts. Only the `contained` flag may differ per hit (the two
-    /// layouts test containment at different subtree granularities),
-    /// which affects counters but never labels.
+    /// Callbacks fire in strictly ascending sorted-leaf order: lanes are
+    /// sorted by range, and surviving lanes are resolved low-to-high via
+    /// one LIFO action stack, so lane `l`'s whole subtree fires before
+    /// lane `l + 1` touches anything. This is load-bearing: border
+    /// claims are first-writer-wins, so a fixed hit order is what makes
+    /// labels on the sequential engine reproducible.
     ///
     /// Work accounting: `nodes_visited` counts batched operations (wide
     /// nodes plus leaf lane batches — each one SIMD-wide unit of work),
@@ -231,7 +202,6 @@ impl<const D: usize> Bvh<D> {
     /// the 8-wide batches spent on leaf runs.
     pub(crate) fn wide_walk<F>(
         &self,
-        wide: &WideBvh<D>,
         center: &Point<D>,
         eps_sq: f32,
         cutoff: u32,
@@ -249,18 +219,27 @@ impl<const D: usize> Bvh<D> {
             Scan([u32; 2]),
             Descend(u32),
         }
-        // Depth is bounded by the binary tree's (≤ 96, the augmented
-        // Morton prefix argument of the stack reference), and each
-        // level parks at most WIDTH - 1 sibling actions.
+        // Depth bound: wide depth is at most the binary tree's, which is
+        // ≤ 96 (each binary descent lengthens the common prefix of the
+        // augmented 96-bit `code ## index` keys), and each wide level
+        // parks at most WIDTH - 1 sibling actions, so at most
+        // 96 * 7 + 1 = 673 slots are ever live.
         const STACK_DEPTH: usize = 1024;
-        let mut stack = [Action::Descend(0); STACK_DEPTH];
+        // Left uninitialised: zero-filling these ~12 KB on every query
+        // cost 10–50 % of a whole clustering call in the layout sweep
+        // (DESIGN.md, "Traversal & memory layout"). Only slots below
+        // `top` are read.
+        let mut stack = [MaybeUninit::<Action>::uninit(); STACK_DEPTH];
+        stack[0].write(Action::Descend(0));
         let mut top = 1usize;
         while top > 0 {
             top -= 1;
-            match stack[top] {
+            // SAFETY: every slot below `top` was written by a push (or
+            // the seed above) before `top` moved past it.
+            match unsafe { stack[top].assume_init() } {
                 Action::Emit(range) => {
                     // Lane was contained: accept its whole range with
-                    // no per-leaf work, like the binary fast path.
+                    // no per-leaf work.
                     if self.emit_range(range[0], range[1], cutoff, stats, callback) {
                         return;
                     }
@@ -278,7 +257,7 @@ impl<const D: usize> Bvh<D> {
                     }
                 }
                 Action::Descend(idx) => {
-                    let node = &wide.nodes[idx as usize];
+                    let node = &self.wide.nodes[idx as usize];
                     stats.nodes_visited += 1;
                     stats.wide_nodes_visited += 1;
                     let (overlap, contained) =
@@ -288,10 +267,9 @@ impl<const D: usize> Bvh<D> {
                     // sorted order.
                     for l in (0..WIDTH).rev() {
                         let link = node.child[l];
-                        // Masked lanes cost one compare, like the
-                        // binary mask skip (no visit counted); empty
-                        // lanes also fail the overlap mask but are
-                        // cheaper to drop here.
+                        // Masked lanes cost one compare (no visit
+                        // counted); empty lanes also fail the overlap
+                        // mask but are cheaper to drop here.
                         if link == EMPTY || node.ranges[l][1] < cutoff || overlap >> l & 1 == 0 {
                             continue;
                         }
@@ -303,7 +281,7 @@ impl<const D: usize> Bvh<D> {
                             Action::Descend(link)
                         };
                         assert!(top < STACK_DEPTH, "wide traversal stack overflow");
-                        stack[top] = action;
+                        stack[top].write(action);
                         top += 1;
                     }
                 }
@@ -312,7 +290,7 @@ impl<const D: usize> Bvh<D> {
     }
 
     /// Batch-scans the leaf run `[first, last]` with the lane box
-    /// kernel (bit-identical accept set to the binary per-leaf test)
+    /// kernel (bit-identical accept set to the scalar `Aabb::dist_sq`)
     /// and fires the callback per accepted leaf. Returns `true` when
     /// the callback broke the traversal; lane results after a break are
     /// discarded uncounted (the batch was already in flight — the waste
@@ -370,97 +348,122 @@ mod tests {
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
-    fn random_points(n: usize, seed: u64) -> Vec<Point<2>> {
+    fn random_points<const D: usize>(n: usize, seed: u64) -> Vec<Point<D>> {
         let mut rng = StdRng::seed_from_u64(seed);
-        (0..n).map(|_| Point::new([rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)])).collect()
+        (0..n).map(|_| Point::new(std::array::from_fn(|_| rng.gen_range(0.0..100.0)))).collect()
     }
 
-    fn build_both(points: &[Point<2>]) -> (Bvh<2>, Bvh<2>) {
-        let device = Device::new(DeviceConfig::sequential().with_bvh_width(2));
-        let bounds: Vec<Aabb<2>> = points.iter().map(|p| Aabb::from_point(*p)).collect();
-        let binary = Bvh::build(&device, &bounds);
-        let mut wide = binary.clone();
-        wide.ensure_width(8);
-        (binary, wide)
+    /// Degenerate Morton regimes: exactly collinear, equally spaced
+    /// points (spine-shaped, zero-volume subtrees) or a few heavily
+    /// stacked sites (duplicate codes) — the worst cases for the collapse.
+    fn degenerate_points<const D: usize>(n: usize, collinear: bool, seed: u64) -> Vec<Point<D>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        if collinear {
+            let step = rng.gen_range(0.05f32..0.4);
+            (0..n)
+                .map(|i| {
+                    Point::new(std::array::from_fn(|d| if d == 0 { i as f32 * step } else { 2.0 }))
+                })
+                .collect()
+        } else {
+            let sites: Vec<Point<D>> = (0..rng.gen_range(2usize..6))
+                .map(|_| Point::new(std::array::from_fn(|_| rng.gen_range(0.0f32..3.0))))
+                .collect();
+            (0..n).map(|i| sites[i % sites.len()]).collect()
+        }
     }
 
-    fn query_hits(
-        bvh: &Bvh<2>,
-        center: &Point<2>,
+    /// Mixed point and box primitives, the DenseBox shape.
+    fn mixed_boxes<const D: usize>(n: usize, seed: u64) -> Vec<Aabb<D>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let min = Point::new(std::array::from_fn(|_| rng.gen_range(0.0f32..50.0)));
+                if rng.gen_bool(0.3) {
+                    let max =
+                        Point::new(std::array::from_fn(|d| min[d] + rng.gen_range(0.0f32..3.0)));
+                    Aabb::from_corners(min, max)
+                } else {
+                    Aabb::from_point(min)
+                }
+            })
+            .collect()
+    }
+
+    fn build<const D: usize>(bounds: &[Aabb<D>]) -> Bvh<D> {
+        Bvh::build(&Device::new(DeviceConfig::sequential()), bounds)
+    }
+
+    fn build_points<const D: usize>(points: &[Point<D>]) -> Bvh<D> {
+        build(&points.iter().map(|p| Aabb::from_point(*p)).collect::<Vec<_>>())
+    }
+
+    /// Runs one query, breaking on the `limit`-th hit.
+    fn query_hits<const D: usize>(
+        bvh: &Bvh<D>,
+        center: &Point<D>,
         eps: f32,
         cutoff: u32,
+        limit: usize,
     ) -> (Vec<(u32, u32)>, QueryStats) {
         let mut hits = Vec::new();
         let stats = bvh.for_each_in_radius(center, eps, cutoff, |pos, payload| {
             hits.push((pos, payload));
-            ControlFlow::Continue(())
+            if hits.len() >= limit {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
         });
         (hits, stats)
     }
 
-    /// Wide and binary traversals of the same tree must agree on the
-    /// exact callback *sequence* (set and order — first-writer-wins
-    /// border claims make order part of the label contract) for any
-    /// query; the stack reference anchors both.
-    fn assert_wide_matches_binary(
-        binary: &Bvh<2>,
-        wide: &Bvh<2>,
-        center: &Point<2>,
+    /// The walk's callback sequence must be strictly ascending in sorted
+    /// leaf position and equal the binary stack reference's hit set —
+    /// together, exactly the binary tree's preorder leaf sequence, the
+    /// order first-writer-wins border claims depend on. A callback that
+    /// breaks on its `limit`-th hit must see exactly that prefix.
+    fn assert_walk_matches_binary<const D: usize>(
+        bvh: &Bvh<D>,
+        center: &Point<D>,
         eps: f32,
         cutoff: u32,
+        limit: usize,
     ) {
-        let (bin_hits, bin_stats) = query_hits(binary, center, eps, cutoff);
-        let (wide_hits, wide_stats) = query_hits(wide, center, eps, cutoff);
-        assert_eq!(wide_hits, bin_hits, "hit sequences diverge (eps {eps}, cutoff {cutoff})");
-        assert_eq!(wide_stats.leaf_hits, bin_stats.leaf_hits, "callback counts diverge");
-        assert_eq!(
-            wide_stats.distance_tests() + wide_stats.contained_hits,
-            wide_stats.leaf_hits,
-            "wide stats must stay internally consistent"
+        let (hits, stats) = query_hits(bvh, center, eps, cutoff, limit);
+        assert!(
+            hits.windows(2).all(|w| w[0].0 < w[1].0),
+            "hit sequence not strictly ascending (eps {eps}, cutoff {cutoff}): {hits:?}"
         );
-        let mut stack_hits = Vec::new();
-        binary.for_each_in_radius_stack(center, eps, cutoff, |pos, payload| {
-            stack_hits.push((pos, payload));
+        let mut reference = Vec::new();
+        bvh.for_each_in_radius_stack(center, eps, cutoff, |pos, payload| {
+            reference.push((pos, payload));
             ControlFlow::Continue(())
         });
-        stack_hits.sort_unstable();
-        let mut wide_sorted = wide_hits;
-        wide_sorted.sort_unstable();
-        assert_eq!(wide_sorted, stack_hits, "wide diverges from the stack reference");
-    }
-
-    #[test]
-    fn ensure_width_derives_and_drops() {
-        let (_, mut bvh) = build_both(&random_points(100, 5));
-        assert!(bvh.wide_layout().is_some());
-        assert!(bvh.wide_layout().unwrap().node_count() >= 1);
-        assert!(bvh.wide_layout().unwrap().memory_bytes() > 0);
-        bvh.ensure_width(2);
-        assert!(bvh.wide_layout().is_none(), "width 2 restores the binary path");
+        reference.sort_unstable();
+        let expected = &reference[..reference.len().min(limit)];
+        assert_eq!(
+            hits, expected,
+            "walk diverges from the stack reference (eps {eps}, cutoff {cutoff})"
+        );
+        assert_eq!(stats.leaf_hits, hits.len() as u64, "hits after a break must not be counted");
+        assert_eq!(stats.terminated_early, reference.len() >= limit);
+        assert_eq!(stats.distance_tests() + stats.contained_hits, stats.leaf_hits);
     }
 
     #[test]
     fn small_trees_skip_the_wide_layout() {
-        let (_, one) = build_both(&random_points(1, 1));
-        assert!(one.wide_layout().is_none(), "a single leaf has no internal root");
-        let (_, two) = build_both(&random_points(2, 2));
-        assert!(two.wide_layout().is_some());
-    }
-
-    #[test]
-    fn device_width_selects_layout_at_build() {
-        let points = random_points(64, 9);
-        let bounds: Vec<Aabb<2>> = points.iter().map(|p| Aabb::from_point(*p)).collect();
-        let wide_dev = Device::new(DeviceConfig::sequential().with_bvh_width(8));
-        assert!(Bvh::build(&wide_dev, &bounds).wide_layout().is_some());
-        let bin_dev = Device::new(DeviceConfig::sequential().with_bvh_width(2));
-        assert!(Bvh::build(&bin_dev, &bounds).wide_layout().is_none());
+        let one = build_points(&random_points::<2>(1, 1));
+        assert_eq!(one.wide.node_count(), 0, "a single leaf has no internal root");
+        let two = build_points(&random_points::<2>(2, 2));
+        assert_eq!(two.wide.node_count(), 1);
+        assert!(two.wide.memory_bytes() > 0);
     }
 
     #[test]
     fn collapse_lanes_cover_the_root_range_exactly_once() {
-        let (_, bvh) = build_both(&random_points(500, 21));
-        let wide = bvh.wide_layout().unwrap();
+        let bvh = build_points(&random_points::<2>(500, 21));
+        let wide = &bvh.wide;
         // Node 0's filled lanes must partition the full sorted range;
         // every node's lanes must partition its own contiguous range.
         for node in &wide.nodes {
@@ -488,63 +491,32 @@ mod tests {
 
     #[test]
     fn wide_query_counts_wide_work() {
-        let (_, bvh) = build_both(&random_points(2000, 33));
-        let (_, stats) = query_hits(&bvh, &Point::new([50.0, 50.0]), 5.0, 0);
-        assert!(stats.wide_nodes_visited > 0, "wide path must batch node tests");
-        assert!(stats.wide_leaf_lanes > 0, "wide path must batch leaf runs");
-        // Binary traversal of the same tree reports no wide work.
-        let (binary, _) = build_both(&random_points(2000, 33));
-        let (_, bin_stats) = query_hits(&binary, &Point::new([50.0, 50.0]), 5.0, 0);
-        assert_eq!(bin_stats.wide_nodes_visited, 0);
-        assert_eq!(bin_stats.wide_leaf_lanes, 0);
+        let bvh = build_points(&random_points::<2>(2000, 33));
+        let (_, stats) = query_hits(&bvh, &Point::new([50.0, 50.0]), 5.0, 0, usize::MAX);
+        assert!(stats.wide_nodes_visited > 0, "the walk must batch node tests");
+        assert!(stats.wide_leaf_lanes > 0, "the walk must batch leaf runs");
+        assert_eq!(stats.nodes_visited, 1 + stats.wide_nodes_visited + stats.wide_leaf_lanes);
     }
 
     #[test]
     fn wide_early_termination_stops_after_break() {
-        let (_, bvh) = build_both(&vec![Point::new([1.0, 1.0]); 200]);
-        let mut count = 0;
-        let stats = bvh.for_each_in_radius(&Point::new([1.0, 1.0]), 1.0, 0, |_, _| {
-            count += 1;
-            if count >= 7 {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        assert_eq!(count, 7);
+        let bvh = build_points(&vec![Point::new([1.0, 1.0]); 200]);
+        let (hits, stats) = query_hits(&bvh, &Point::new([1.0, 1.0]), 1.0, 0, 7);
+        assert_eq!(hits.len(), 7);
         assert!(stats.terminated_early);
         assert_eq!(stats.leaf_hits, 7, "hits after the break must not be counted");
     }
 
     #[test]
     fn wide_matches_binary_on_box_leaves() {
-        // Mixed point/box primitives, the DenseBox shape.
-        let mut rng = StdRng::seed_from_u64(44);
-        let mut bounds = Vec::new();
-        for _ in 0..120 {
-            let min = Point::new([rng.gen_range(0.0f32..50.0), rng.gen_range(0.0f32..50.0)]);
-            if rng.gen_bool(0.3) {
-                let max = Point::new([
-                    min[0] + rng.gen_range(0.0f32..3.0),
-                    min[1] + rng.gen_range(0.0f32..3.0),
-                ]);
-                bounds.push(Aabb::from_corners(min, max));
-            } else {
-                bounds.push(Aabb::from_point(min));
-            }
-        }
-        let device = Device::new(DeviceConfig::sequential().with_bvh_width(2));
-        let binary = Bvh::build(&device, &bounds);
-        let mut wide = binary.clone();
-        wide.ensure_width(8);
+        let bvh = build(&mixed_boxes::<2>(120, 44));
         for (center, eps) in
             [([10.0, 10.0], 4.0), ([25.0, 25.0], 9.0), ([100.0, 100.0], 1.0), ([25.0, 25.0], 200.0)]
         {
             for cutoff in [0u32, 40, 120] {
-                let c = Point::new(center);
-                let (b, _) = query_hits(&binary, &c, eps, cutoff);
-                let (w, _) = query_hits(&wide, &c, eps, cutoff);
-                assert_eq!(w, b, "center {center:?} eps {eps} cutoff {cutoff}");
+                for limit in [usize::MAX, 3] {
+                    assert_walk_matches_binary(&bvh, &Point::new(center), eps, cutoff, limit);
+                }
             }
         }
     }
@@ -559,11 +531,23 @@ mod tests {
             cutoff_frac in 0.0f64..1.2,
             cx in -20.0f32..120.0,
             cy in -20.0f32..120.0,
+            cz in -20.0f32..120.0,
+            limit in 1usize..64,
+            boxes in any::<bool>(),
         ) {
-            let points = random_points(n, seed);
-            let (binary, wide) = build_both(&points);
             let cutoff = ((n as f64) * cutoff_frac) as u32;
-            assert_wide_matches_binary(&binary, &wide, &Point::new([cx, cy]), eps, cutoff);
+            let (bvh2, bvh3) = if boxes {
+                (build(&mixed_boxes::<2>(n, seed)), build(&mixed_boxes::<3>(n, seed)))
+            } else {
+                (
+                    build_points(&random_points::<2>(n, seed)),
+                    build_points(&random_points::<3>(n, seed)),
+                )
+            };
+            for limit in [usize::MAX, limit] {
+                assert_walk_matches_binary(&bvh2, &Point::new([cx, cy]), eps, cutoff, limit);
+                assert_walk_matches_binary(&bvh3, &Point::new([cx, cy, cz]), eps, cutoff, limit);
+            }
         }
 
         #[test]
@@ -572,23 +556,17 @@ mod tests {
             n in 2usize..300,
             collinear in any::<bool>(),
             eps in 0.01f32..10.0,
+            limit in 1usize..64,
         ) {
-            // Degenerate Morton regimes: spine-shaped and zero-volume
-            // subtrees, the worst cases for the collapse.
-            let mut rng = StdRng::seed_from_u64(seed);
-            let points: Vec<Point<2>> = if collinear {
-                let step = rng.gen_range(0.05f32..0.4);
-                (0..n).map(|i| Point::new([i as f32 * step, 2.0])).collect()
-            } else {
-                let sites: Vec<Point<2>> = (0..rng.gen_range(2usize..6))
-                    .map(|_| Point::new([rng.gen_range(0.0f32..3.0), rng.gen_range(0.0f32..3.0)]))
-                    .collect();
-                (0..n).map(|i| sites[i % sites.len()]).collect()
-            };
-            let (binary, wide) = build_both(&points);
-            let center = points[n / 2];
+            let points2 = degenerate_points::<2>(n, collinear, seed);
+            let points3 = degenerate_points::<3>(n, collinear, seed);
+            let bvh2 = build_points(&points2);
+            let bvh3 = build_points(&points3);
             for cutoff in [0u32, (n / 2) as u32] {
-                assert_wide_matches_binary(&binary, &wide, &center, eps, cutoff);
+                for limit in [usize::MAX, limit] {
+                    assert_walk_matches_binary(&bvh2, &points2[n / 2], eps, cutoff, limit);
+                    assert_walk_matches_binary(&bvh3, &points3[n / 2], eps, cutoff, limit);
+                }
             }
         }
     }

@@ -164,12 +164,7 @@ fn densebox_core<const D: usize>(
     let _grid_mem = device.memory().reserve(grid.memory_bytes())?;
     let mixed = grid.mixed_primitives(points);
     let bvh = match restored_bvh {
-        Some(mut bvh) => {
-            // Snapshots never carry the derived wide layout; re-derive it
-            // to match this device's configured width.
-            bvh.ensure_width(device.bvh_width());
-            bvh
-        }
+        Some(bvh) => bvh,
         None => {
             let bvh = Bvh::build_in(device, device.arena(), &mixed.bounds)?;
             if let Some(c) = ckpt.as_deref_mut() {

@@ -135,11 +135,8 @@ fn fdbscan_core<const D: usize>(
     let index_start = Instant::now();
     let index_span = tracer.phase("index");
     let bvh = match ckpt.as_deref().and_then(|c| c.restore::<Bvh<D>>(PHASE_INDEX)) {
-        Some(mut bvh) => {
+        Some(bvh) => {
             tracer.instant("checkpoint.restore: index");
-            // Snapshots never carry the derived wide layout; re-derive it
-            // to match this device's configured width.
-            bvh.ensure_width(device.bvh_width());
             bvh
         }
         None => {

@@ -45,7 +45,7 @@
 //!     device.launch(1000, |i| unsafe { view.write(i, (i * i) as u64) });
 //! }
 //! // Next kernel sees the previous one's writes (launch barrier).
-//! let sum = device.reduce(1000, 0u64, |i| squares[i], |a, b| a + b);
+//! let sum = device.reduce_named("sum", 1000, 0u64, |i| squares[i], |a, b| a + b);
 //! assert_eq!(sum, (0..1000u64).map(|i| i * i).sum());
 //! ```
 
@@ -107,12 +107,6 @@ pub struct DeviceConfig {
     /// (the default), tracing is enabled iff `FDBSCAN_TRACE` is set (see
     /// [`trace::Tracer::from_env`]).
     pub tracing: bool,
-    /// BVH branching factor the tree index derives for traversal: `2`
-    /// keeps the binary rope layout (the oracle path), `8` additionally
-    /// collapses the tree into wide nodes whose children are tested by
-    /// one SIMD lane kernel per step. Defaults from `FDBSCAN_BVH_WIDTH`
-    /// (`2`/`binary` or `8`/`wide`); unset or unrecognized = binary.
-    pub bvh_width: usize,
 }
 
 impl Default for DeviceConfig {
@@ -127,19 +121,7 @@ impl Default for DeviceConfig {
             fault_plan: None,
             kernel_timeout: None,
             tracing: false,
-            bvh_width: bvh_width_from_env().unwrap_or(2),
         }
-    }
-}
-
-/// Parses `FDBSCAN_BVH_WIDTH`. Unset or unrecognized values yield
-/// `None` (binary default) rather than an error, matching the lenient
-/// `FDBSCAN_BACKEND` convention.
-fn bvh_width_from_env() -> Option<usize> {
-    match std::env::var("FDBSCAN_BVH_WIDTH").ok()?.trim().to_ascii_lowercase().as_str() {
-        "2" | "binary" => Some(2),
-        "8" | "wide" => Some(8),
-        _ => None,
     }
 }
 
@@ -211,15 +193,6 @@ impl DeviceConfig {
         self
     }
 
-    /// Sets the BVH branching factor explicitly (overriding any
-    /// `FDBSCAN_BVH_WIDTH` environment selection). Only widths `2`
-    /// (binary ropes) and `8` (SIMD wide nodes) exist.
-    pub fn with_bvh_width(mut self, width: usize) -> Self {
-        assert!(width == 2 || width == 8, "BVH width must be 2 or 8, got {width}");
-        self.bvh_width = width;
-        self
-    }
-
     /// Enables span recording (see [`trace::Tracer`]) without requiring
     /// the `FDBSCAN_TRACE` environment variable. Traces enabled this way
     /// are read back programmatically via [`Device::tracer`]; they are
@@ -271,7 +244,6 @@ pub struct Device {
     launch_ordinal: Arc<AtomicU64>,
     fault_plan: Option<Arc<FaultPlan>>,
     kernel_timeout: Option<Duration>,
-    bvh_width: usize,
     tracer: Arc<Tracer>,
     /// Per-request cancellation token (see [`Device::with_cancel`]).
     /// `None` on a freshly constructed device; attached per clone, so
@@ -309,7 +281,6 @@ impl Device {
             launch_ordinal: Arc::new(AtomicU64::new(0)),
             fault_plan,
             kernel_timeout: config.kernel_timeout,
-            bvh_width: config.bvh_width,
             cancel: None,
             tracer: Arc::new({
                 let tracer = Tracer::from_env();
@@ -373,12 +344,6 @@ impl Device {
     /// The configured kernel watchdog timeout, if any.
     pub fn kernel_timeout(&self) -> Option<Duration> {
         self.kernel_timeout
-    }
-
-    /// The BVH branching factor traversals on this device should use
-    /// (`2` = binary ropes, `8` = SIMD wide nodes).
-    pub fn bvh_width(&self) -> usize {
-        self.bvh_width
     }
 
     /// A clone of this device with a per-request [`CancelToken`]
@@ -681,25 +646,10 @@ impl Device {
         })
     }
 
-    /// Fallible parallel reduction over the index space `0..n` (see
-    /// [`Device::reduce`] for the `combine` contract). On failure the
-    /// partial accumulator is discarded.
-    pub fn try_reduce<T, M, C>(
-        &self,
-        n: usize,
-        identity: T,
-        map: M,
-        combine: C,
-    ) -> Result<T, DeviceError>
-    where
-        T: Send + Sync + Clone,
-        M: Fn(usize) -> T + Sync,
-        C: Fn(T, T) -> T + Sync + Send,
-    {
-        self.try_reduce_named("unnamed", n, identity, map, combine)
-    }
-
-    /// [`Device::try_reduce`] with a kernel label.
+    /// Fallible parallel reduction over the index space `0..n`, labelled
+    /// `label` in traces and histograms (see [`Device::reduce_named`]
+    /// for the `combine` contract). On failure the partial accumulator
+    /// is discarded.
     pub fn try_reduce_named<T, M, C>(
         &self,
         label: &'static str,
@@ -761,24 +711,14 @@ impl Device {
         }
     }
 
-    /// Parallel reduction over the index space `0..n`.
+    /// Parallel reduction over the index space `0..n`, labelled `label`
+    /// (see [`Device::launch_named`] for the label's uses).
     ///
     /// `map` produces a value per index; `combine` must be associative and
     /// commutative (block partials are combined in nondeterministic
     /// order). `identity` is the identity of `combine`. Panics on kernel
     /// panic or watchdog timeout; recoverable callers should prefer
-    /// [`Device::try_reduce`].
-    pub fn reduce<T, M, C>(&self, n: usize, identity: T, map: M, combine: C) -> T
-    where
-        T: Send + Sync + Clone,
-        M: Fn(usize) -> T + Sync,
-        C: Fn(T, T) -> T + Sync + Send,
-    {
-        self.reduce_named("unnamed", n, identity, map, combine)
-    }
-
-    /// [`Device::reduce`] with a kernel label (see
-    /// [`Device::launch_named`] for the label's uses).
+    /// [`Device::try_reduce_named`].
     pub fn reduce_named<T, M, C>(
         &self,
         label: &'static str,
@@ -849,14 +789,14 @@ mod tests {
     #[test]
     fn reduce_sums_correctly() {
         let device = Device::new(DeviceConfig::default().with_workers(2).with_block_size(13));
-        let sum = device.reduce(1001, 0u64, |i| i as u64, |a, b| a + b);
+        let sum = device.reduce_named("test.sum", 1001, 0u64, |i| i as u64, |a, b| a + b);
         assert_eq!(sum, 1000 * 1001 / 2);
     }
 
     #[test]
     fn reduce_empty_returns_identity() {
         let device = Device::with_defaults();
-        assert_eq!(device.reduce(0, 42u32, |_| 0, |a, b| a + b), 42);
+        assert_eq!(device.reduce_named("test.sum", 0, 42u32, |_| 0, |a, b| a + b), 42);
     }
 
     #[test]
@@ -864,7 +804,8 @@ mod tests {
         let device = Device::new(DeviceConfig::default().with_workers(2));
         let values: Vec<u32> = (0..5000).map(|i| (i * 2654435761u64 % 10007) as u32).collect();
         let expected = *values.iter().max().unwrap();
-        let got = device.reduce(values.len(), 0u32, |i| values[i], |a, b| a.max(b));
+        let got =
+            device.reduce_named("test.max", values.len(), 0u32, |i| values[i], |a, b| a.max(b));
         assert_eq!(got, expected);
     }
 
@@ -919,7 +860,7 @@ mod tests {
             let view = SharedMut::new(&mut data);
             device.launch(n, |i| unsafe { view.write(i, i as u64 + 1) });
         }
-        let sum = device.reduce(n, 0u64, |i| data[i], |a, b| a + b);
+        let sum = device.reduce_named("test.sum", n, 0u64, |i| data[i], |a, b| a + b);
         assert_eq!(sum, (1..=n as u64).sum::<u64>());
     }
 
@@ -952,7 +893,8 @@ mod tests {
         }
         assert_eq!(device.counters().snapshot().failed_launches, 1);
         // Device fully usable afterwards.
-        let sum = device.try_reduce(100, 0u64, |i| i as u64, |a, b| a + b).unwrap();
+        let sum =
+            device.try_reduce_named("test.sum", 100, 0u64, |i| i as u64, |a, b| a + b).unwrap();
         assert_eq!(sum, 99 * 100 / 2);
         assert_eq!(device.launches_started(), 3);
     }
@@ -1285,28 +1227,6 @@ mod tests {
     }
 
     #[test]
-    fn bvh_width_builder_and_accessor() {
-        // The unpinned default follows FDBSCAN_BVH_WIDTH (the CI sweep
-        // axis); without it the layout is binary.
-        let ambient = match std::env::var("FDBSCAN_BVH_WIDTH").as_deref() {
-            Ok("8") | Ok("wide") => 8,
-            _ => 2,
-        };
-        assert_eq!(Device::new(DeviceConfig::sequential()).bvh_width(), ambient);
-        // Explicit pins beat the environment in both directions.
-        let wide = Device::new(DeviceConfig::sequential().with_bvh_width(8));
-        assert_eq!(wide.bvh_width(), 8);
-        assert_eq!(wide.clone().bvh_width(), 8, "clones keep the width");
-        assert_eq!(Device::new(DeviceConfig::sequential().with_bvh_width(2)).bvh_width(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "BVH width must be 2 or 8")]
-    fn bvh_width_rejects_unsupported_widths() {
-        let _ = DeviceConfig::sequential().with_bvh_width(4);
-    }
-
-    #[test]
     fn explicit_backend_overrides_config() {
         let device =
             Device::new(DeviceConfig::default().with_backend(Backend::Threaded { workers: 2 }));
@@ -1320,7 +1240,13 @@ mod tests {
         // thread, so even a non-commutative combine is deterministic —
         // the property that makes it the regression oracle.
         let device = Device::new(DeviceConfig::sequential().with_block_size(4));
-        let digits = device.reduce(10, String::new(), |i| i.to_string(), |a, b| format!("{a}{b}"));
+        let digits = device.reduce_named(
+            "test.concat",
+            10,
+            String::new(),
+            |i| i.to_string(),
+            |a, b| format!("{a}{b}"),
+        );
         assert_eq!(digits, "0123456789");
     }
 
