@@ -7,9 +7,19 @@
 //! and keeps going. [`run_resilient`] encodes that ladder:
 //!
 //! ```text
+//!  opt-in start        default start
+//!       │                   │
+//!       ▼                   ▼
 //! G-DBSCAN  ──OOM──▶  FDBSCAN-DenseBox  ──OOM──▶  FDBSCAN  ──OOM──▶  sequential
 //! (O(edges))          (linear, grid+tree)         (linear, tree)     (host, O(1) device)
 //! ```
+//!
+//! The default ladder ([`ResiliencePolicy::default`]) starts at
+//! FDBSCAN-DenseBox, so every request runs one of the paper's
+//! linear-memory tree algorithms first. G-DBSCAN is the paper's
+//! evaluation baseline, not a production path: it runs only when a
+//! caller asks for it with `start: LadderLevel::GDbscan` (the fault
+//! tests do, to show the OOM step-down).
 //!
 //! * **Out-of-memory** steps down immediately: the footprint is a
 //!   property of the algorithm, so retrying the same level cannot help.
@@ -35,13 +45,16 @@
 //! outputs (index, core flags, labels) survive a mid-run fault in the
 //! caller-side checkpoint, so a transient retry *resumes from the last
 //! completed phase* instead of recomputing the whole rung. On a
-//! step-down (e.g. G-DBSCAN's edge list ooms after its degree pass),
-//! reusable artifacts are handed to the next rung: the core flags of
-//! the failed level seed the next level's preprocessing phase, since
-//! core-point status depends only on `(points, eps, minpts)`, not on
-//! the algorithm. The handoff applies only for `minpts > 2` — below
-//! that the algorithms skip preprocessing entirely (Algorithm 3,
-//! line 2).
+//! step-down, reusable artifacts are handed to the next rung: the core
+//! flags of the failed level seed the next level's preprocessing phase,
+//! since core-point status depends only on `(points, eps, minpts)`, not
+//! on the algorithm. Flags exist to hand down on an opted-in G-DBSCAN
+//! start (its degree pass records them before the OOM-prone edge-list
+//! reservation) and travel on through a DenseBox → FDBSCAN step-down.
+//! From the default start there are none: DenseBox decides core status
+//! inside its fused main kernel and checkpoints it only with that phase.
+//! The handoff applies only for `minpts > 2` — below that the
+//! algorithms skip preprocessing entirely (Algorithm 3, line 2).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -63,7 +76,8 @@ use crate::Params;
 /// first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LadderLevel {
-    /// G-DBSCAN: `O(edges)` device memory, the paper's OOM case.
+    /// G-DBSCAN: `O(edges)` device memory, the paper's OOM case. An
+    /// evaluation baseline: the ladder starts here only on request.
     GDbscan,
     /// FDBSCAN-DenseBox: linear memory (grid + mixed-primitive tree).
     DenseBox,
@@ -111,7 +125,9 @@ impl std::fmt::Display for LadderLevel {
 /// Retry/degradation policy for [`run_resilient`].
 #[derive(Clone, Copy, Debug)]
 pub struct ResiliencePolicy {
-    /// The rung to start from. Defaults to the top ([`LadderLevel::GDbscan`]).
+    /// The rung to start from. Defaults to [`LadderLevel::DenseBox`];
+    /// [`LadderLevel::GDbscan`] (the paper's baseline) runs only when
+    /// set here explicitly.
     pub start: LadderLevel,
     /// How many times a *transient* failure (panic, timeout, injected
     /// fault) retries the same level before stepping down. OOM never
@@ -124,7 +140,7 @@ pub struct ResiliencePolicy {
 
 impl Default for ResiliencePolicy {
     fn default() -> Self {
-        Self { start: LadderLevel::GDbscan, max_transient_retries: 2, preflight: true }
+        Self { start: LadderLevel::DenseBox, max_transient_retries: 2, preflight: true }
     }
 }
 
@@ -229,16 +245,17 @@ pub fn estimate_gdbscan_bytes<const D: usize>(points: &[Point<D>], eps: f32) -> 
 /// for anything else the sequential oracle is the backstop.
 ///
 /// ```
-/// use fdbscan::{run_resilient, Params, ResiliencePolicy};
+/// use fdbscan::{run_resilient, LadderLevel, Params, ResiliencePolicy};
 /// use fdbscan_device::{Device, DeviceConfig};
 /// use fdbscan_geom::Point2;
 ///
-/// // A budget that G-DBSCAN's dense adjacency graph busts.
+/// // Opt in to the G-DBSCAN baseline, under a budget that its dense
+/// // adjacency graph busts: the ladder steps down to a linear rung.
 /// let device = Device::new(DeviceConfig::default().with_memory_budget(1 << 19));
 /// let points = vec![Point2::new([0.0, 0.0]); 2000];
+/// let policy = ResiliencePolicy { start: LadderLevel::GDbscan, ..Default::default() };
 /// let (clustering, _stats, report) =
-///     run_resilient(&device, &points, Params::new(1.0, 5), ResiliencePolicy::default())
-///         .unwrap();
+///     run_resilient(&device, &points, Params::new(1.0, 5), policy).unwrap();
 /// assert_eq!(clustering.num_clusters, 1);
 /// assert!(report.degraded());
 /// ```
@@ -445,6 +462,11 @@ mod tests {
     use fdbscan_geom::Point2;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
+    /// The opt-in ladder that starts at the G-DBSCAN baseline.
+    fn gdbscan_start() -> ResiliencePolicy {
+        ResiliencePolicy { start: LadderLevel::GDbscan, ..Default::default() }
+    }
+
     fn random_points(n: usize, extent: f32, seed: u64) -> Vec<Point2> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
@@ -459,7 +481,7 @@ mod tests {
         let params = Params::new(0.3, 4);
         let (c, _, report) =
             run_resilient(&device, &points, params, ResiliencePolicy::default()).unwrap();
-        assert_eq!(report.completed, Some(LadderLevel::GDbscan));
+        assert_eq!(report.completed, Some(LadderLevel::DenseBox));
         assert!(!report.degraded());
         assert_eq!(report.runs(), 1);
         assert_valid_clustering(&points, &c, params);
@@ -472,8 +494,7 @@ mod tests {
         let points = vec![Point2::new([0.0, 0.0]); 2000];
         let params = Params::new(1.0, 5);
         let device = Device::new(DeviceConfig::default().with_memory_budget(1 << 19));
-        let (c, _, report) =
-            run_resilient(&device, &points, params, ResiliencePolicy::default()).unwrap();
+        let (c, _, report) = run_resilient(&device, &points, params, gdbscan_start()).unwrap();
         assert!(report.degraded());
         assert_ne!(report.completed, Some(LadderLevel::GDbscan));
         assert_eq!(c.num_clusters, 1);
@@ -486,8 +507,7 @@ mod tests {
         let points = vec![Point2::new([0.0, 0.0]); 2000];
         let device = Device::new(DeviceConfig::default().with_memory_budget(1 << 19));
         let (_, _, report) =
-            run_resilient(&device, &points, Params::new(1.0, 5), ResiliencePolicy::default())
-                .unwrap();
+            run_resilient(&device, &points, Params::new(1.0, 5), gdbscan_start()).unwrap();
         assert!(matches!(
             report.attempts[0],
             Attempt { level: LadderLevel::GDbscan, outcome: AttemptOutcome::Skipped { .. } }
@@ -520,8 +540,7 @@ mod tests {
         assert_eq!(device.arena().held_bytes(), held, "warm-up not reproducible");
         assert!(estimated > budget - held, "arena bytes would not matter");
 
-        let (c, _, report) =
-            run_resilient(&device, &points, params, ResiliencePolicy::default()).unwrap();
+        let (c, _, report) = run_resilient(&device, &points, params, gdbscan_start()).unwrap();
         assert_eq!(report.completed, Some(LadderLevel::GDbscan));
         assert!(!report.degraded(), "rung was skipped despite reclaimable arena bytes");
         let oracle = dbscan_classic(&points, params);
@@ -538,7 +557,7 @@ mod tests {
         let device = Device::new(DeviceConfig::default().with_workers(2).with_fault_plan(plan));
         let (c, _, report) =
             run_resilient(&device, &points, params, ResiliencePolicy::default()).unwrap();
-        assert_eq!(report.completed, Some(LadderLevel::GDbscan));
+        assert_eq!(report.completed, Some(LadderLevel::DenseBox));
         assert!(!report.degraded());
         assert_eq!(report.runs(), 2, "one failure + one successful retry");
         assert!(matches!(
@@ -635,7 +654,7 @@ mod tests {
         // Disable pre-flight so G-DBSCAN actually runs its degree pass
         // (recording core flags) before the edge reservation ooms.
         let device = Device::new(DeviceConfig::sequential().with_memory_budget(1 << 19));
-        let policy = ResiliencePolicy { preflight: false, ..Default::default() };
+        let policy = ResiliencePolicy { preflight: false, ..gdbscan_start() };
         let (c, stats, report) = run_resilient(&device, &points, params, policy).unwrap();
         assert!(matches!(
             report.attempts[0].outcome,
@@ -706,7 +725,7 @@ mod tests {
         // (other requests) keeps working.
         let (c, _, report) =
             run_resilient(&base, &points, params, ResiliencePolicy::default()).unwrap();
-        assert_eq!(report.completed, Some(LadderLevel::GDbscan));
+        assert_eq!(report.completed, Some(LadderLevel::DenseBox));
         assert_valid_clustering(&points, &c, params);
     }
 

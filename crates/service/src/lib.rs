@@ -100,6 +100,23 @@ mod tests {
     }
 
     #[test]
+    fn default_request_never_runs_the_gdbscan_baseline() {
+        // The production path: a healthy request with default settings
+        // starts and completes on FDBSCAN-DenseBox. G-DBSCAN is an
+        // evaluation baseline and runs only when a policy asks for it.
+        let service = service(Device::new(DeviceConfig::default().with_workers(2)));
+        let points = random_points(600, 5.0, 11);
+        let response = service.execute(ClusterRequest::new(points, Params::new(0.3, 4))).unwrap();
+        let report = &response.report;
+        assert!(
+            report.attempts.iter().all(|a| a.level != LadderLevel::GDbscan),
+            "default request ran the G-DBSCAN baseline: {:?}",
+            report.attempts
+        );
+        assert_eq!(report.completed, Some(LadderLevel::DenseBox));
+    }
+
+    #[test]
     fn invalid_input_is_rejected_before_admission() {
         let service = service(Device::new(DeviceConfig::default().with_workers(2)));
         let mut points = random_points(50, 5.0, 2);
