@@ -26,7 +26,7 @@
 
 use std::ops::ControlFlow;
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fdbscan_bvh::Bvh;
 use fdbscan_device::json::Json;
@@ -35,13 +35,13 @@ use fdbscan_geom::Point;
 use fdbscan_grid::DenseGrid;
 use fdbscan_unionfind::AtomicLabels;
 
-use crate::checkpoint::{
-    self, CoreSnapshot, DenseIndex, LabelState, PHASE_FINALIZE, PHASE_INDEX, PHASE_MAIN,
-    PHASE_PREPROCESS,
+use crate::checkpoint::{self, DenseIndex, LabelState, PHASE_INDEX, PHASE_MAIN};
+use crate::framework::{
+    finalize, resolve_pair, resolve_pair_star, resumed_labels, run_pipeline, seed_lazy_core,
+    CoreFlags, LazyCore, Phase,
 };
-use crate::framework::{finalize, resolve_pair, resolve_pair_star, CoreFlags, LazyCore};
 use crate::labels::Clustering;
-use crate::stats::{DenseStats, PhaseCounters, RunStats};
+use crate::stats::{DenseStats, RunStats};
 use crate::Params;
 
 /// Checkpoint algorithm tag of [`fdbscan_densebox`] runs.
@@ -114,166 +114,84 @@ fn densebox_core<const D: usize>(
     params: Params,
     options: DenseBoxOptions,
     prebuilt: Option<(DenseGrid<D>, Duration)>,
-    mut ckpt: Option<&mut PipelineCheckpoint>,
+    ckpt: Option<&mut PipelineCheckpoint>,
 ) -> Result<(Clustering, RunStats), DeviceError> {
-    crate::validate_finite(points)?;
     let n = points.len();
     let Params { eps, minpts } = params;
-    let start = Instant::now();
-    let counters_before = device.counters().snapshot();
-    device.memory().reset_peak();
+    run_pipeline(device, "fdbscan-densebox", points, ckpt, |p| {
+        let _points_mem = device.memory().reserve_array::<Point<D>>(n)?;
+        let _labels_mem = device.memory().reserve_array::<u32>(n)?;
+        let _flags_mem = device.memory().reserve(n.div_ceil(8))?;
 
-    if n == 0 {
-        return Ok((
-            Clustering::from_union_find(&[], &[]),
-            RunStats { total_time: start.elapsed(), ..Default::default() },
-        ));
-    }
-
-    let tracer = device.tracer();
-    let _run_span = tracer.phase("fdbscan-densebox");
-
-    let _points_mem = device.memory().reserve_array::<Point<D>>(n)?;
-    let _labels_mem = device.memory().reserve_array::<u32>(n)?;
-    let _flags_mem = device.memory().reserve(n.div_ceil(8))?;
-
-    // Phase 1: dense grid + mixed-primitive BVH. The mixed primitive
-    // references are recomputed in every path — they are a cheap
-    // deterministic function of (grid, points), so the checkpoint only
-    // needs to carry the grid and the tree.
-    let index_span = tracer.phase("index");
-    let index_start = Instant::now();
-    let mut grid_time = Duration::ZERO;
-    let (grid, restored_bvh) =
-        match ckpt.as_deref().and_then(|c| c.restore::<DenseIndex<D>>(PHASE_INDEX)) {
-            Some(index) => {
-                tracer.instant("checkpoint.restore: index");
-                (index.grid, Some(index.bvh))
-            }
-            None => {
-                let grid = match prebuilt {
-                    Some((grid, prebuilt_time)) => {
-                        grid_time = prebuilt_time;
-                        grid
+        // Phase 1: dense grid + mixed-primitive BVH. The mixed primitive
+        // references are recomputed in every path — they are a cheap
+        // deterministic function of (grid, points), so the checkpoint only
+        // needs to carry the grid and the tree.
+        let (grid, bvh, mixed, _grid_mem, _bvh_mem) = p.phase(Phase::Index, |p| {
+            let (grid, restored_bvh) = match p.restore::<DenseIndex<D>>(Phase::Index) {
+                Some(index) => (index.grid, Some(index.bvh)),
+                None => match prebuilt {
+                    Some((grid, grid_time)) => {
+                        p.credit(Phase::Index, grid_time);
+                        (grid, None)
                     }
-                    None => DenseGrid::build_in(device, device.arena(), points, eps, minpts)?,
-                };
-                (grid, None)
+                    None => {
+                        (DenseGrid::build_in(device, device.arena(), points, eps, minpts)?, None)
+                    }
+                },
+            };
+            let grid_mem = device.memory().reserve(grid.memory_bytes())?;
+            let mixed = grid.mixed_primitives(points);
+            let bvh = match restored_bvh {
+                Some(bvh) => bvh,
+                None => {
+                    let bvh = Bvh::build_in(device, device.arena(), &mixed.bounds)?;
+                    p.record_raw(PHASE_INDEX, DenseIndex::<D>::KIND, || {
+                        Json::obj([("grid", grid.to_snapshot()), ("bvh", bvh.to_snapshot())])
+                    });
+                    bvh
+                }
+            };
+            let bvh_mem = device.memory().reserve(bvh.memory_bytes())?;
+            Ok((grid, bvh, mixed, grid_mem, bvh_mem))
+        })?;
+
+        // A completed main phase supersedes preprocessing: its label state
+        // carries the (cell-union extended) core flags as well.
+        let restored_main = p.peek::<LabelState>(Phase::Main);
+
+        // Phase 2: preprocessing. Core counting is fused into the main
+        // kernel; this phase only seeds the fused kernel's lazy core state
+        // from restored checkpoints (nothing launches).
+        let (core, lazy) =
+            p.phase(Phase::Preprocess, |p| Ok(seed_lazy_core(p, restored_main.as_ref(), n)))?;
+
+        // Phase 3: main. 3a unions each dense cell internally; 3b traverses
+        // from every point, deciding core status lazily.
+        let labels = p.phase(Phase::Main, |p| {
+            if let Some(state) = restored_main {
+                p.restored(Phase::Main);
+                return Ok(resumed_labels(device, state.labels));
             }
-        };
-    let _grid_mem = device.memory().reserve(grid.memory_bytes())?;
-    let mixed = grid.mixed_primitives(points);
-    let bvh = match restored_bvh {
-        Some(bvh) => bvh,
-        None => {
-            let bvh = Bvh::build_in(device, device.arena(), &mixed.bounds)?;
-            if let Some(c) = ckpt.as_deref_mut() {
-                c.record_raw(
-                    PHASE_INDEX,
-                    DenseIndex::<D>::KIND,
-                    Json::obj([("grid", grid.to_snapshot()), ("bvh", bvh.to_snapshot())]),
-                );
-                checkpoint::persist(c, device);
-            }
-            bvh
-        }
-    };
-    let _bvh_mem = device.memory().reserve(bvh.memory_bytes())?;
-    let refs = &mixed.refs;
-    let index_time = index_start.elapsed() + grid_time;
-    drop(index_span);
-    let after_index = device.counters().snapshot();
+            let labels = AtomicLabels::with_counters(n, device.counters_arc());
+            let refs = &mixed.refs;
+            run_main(device, points, params, options, &grid, &bvh, refs, &labels, &core, &lazy)?;
+            p.record(PHASE_MAIN, || LabelState { labels: labels.snapshot(), core: core.to_vec() });
+            Ok(labels)
+        })?;
 
-    // A completed main phase supersedes preprocessing: its label state
-    // carries the (cell-union extended) core flags as well.
-    let restored_main = ckpt.as_deref().and_then(|c| c.restore::<LabelState>(PHASE_MAIN));
-
-    // Phase 2: preprocessing. Core counting is fused into the main
-    // kernel; this phase only seeds the fused kernel's lazy core state
-    // from restored checkpoints (nothing launches).
-    let preprocess_span = tracer.phase("preprocess");
-    let preprocess_start = Instant::now();
-    let (core, lazy) = if let Some(state) = &restored_main {
-        (CoreFlags::from_flags(&state.core), LazyCore::from_decided(&state.core))
-    } else if let Some(flags) =
-        ckpt.as_deref().and_then(|c| c.restore::<CoreSnapshot>(PHASE_PREPROCESS))
-    {
-        tracer.instant("checkpoint.restore: preprocess");
-        (CoreFlags::from_flags(&flags.0), LazyCore::from_decided(&flags.0))
-    } else {
-        (CoreFlags::new(n), LazyCore::new(n))
-    };
-    let preprocess_time = preprocess_start.elapsed();
-    drop(preprocess_span);
-    let after_preprocess = device.counters().snapshot();
-
-    // Phase 3: main. 3a unions each dense cell internally; 3b traverses
-    // from every point, deciding core status lazily.
-    let main_span = tracer.phase("main");
-    let main_start = Instant::now();
-    let labels = if let Some(state) = restored_main {
-        tracer.instant("checkpoint.restore: main");
-        let mut labels = AtomicLabels::from_labels(state.labels);
-        labels.attach_counters(device.counters_arc());
-        labels
-    } else {
-        let labels = AtomicLabels::with_counters(n, device.counters_arc());
-        run_main(device, points, params, options, &grid, &bvh, refs, &labels, &core, &lazy)?;
-        if let Some(c) = ckpt.as_deref_mut() {
-            c.record(PHASE_MAIN, &LabelState { labels: labels.snapshot(), core: core.to_vec() });
-            checkpoint::persist(c, device);
-        }
-        labels
-    };
-    let main_time = main_start.elapsed();
-    drop(main_span);
-    let after_main = device.counters().snapshot();
-
-    // Phase 4: finalization.
-    let finalize_span = tracer.phase("finalize");
-    let finalize_start = Instant::now();
-    let clustering = match ckpt.as_deref().and_then(|c| c.restore::<Clustering>(PHASE_FINALIZE)) {
-        Some(clustering) => {
-            tracer.instant("checkpoint.restore: finalize");
-            clustering
-        }
-        None => {
-            let clustering = finalize(device, &labels, &core);
-            if let Some(c) = ckpt {
-                c.record(PHASE_FINALIZE, &clustering);
-                checkpoint::persist(c, device);
-            }
-            clustering
-        }
-    };
-    let finalize_time = finalize_start.elapsed();
-    drop(finalize_span);
-    let after_finalize = device.counters().snapshot();
-
-    let stats = RunStats {
-        index_time,
-        preprocess_time,
-        main_time,
-        finalize_time,
-        total_time: start.elapsed(),
-        counters: after_finalize.since(&counters_before),
-        phase_counters: PhaseCounters {
-            index: after_index.since(&counters_before),
-            preprocess: after_preprocess.since(&after_index),
-            main: after_main.since(&after_preprocess),
-            finalize: after_finalize.since(&after_main),
-        },
-        peak_memory_bytes: device.memory().peak(),
-        dense: Some(DenseStats {
+        // Phase 4: finalization.
+        let clustering = p.phase(Phase::Finalize, |p| {
+            p.resume(Phase::Finalize, |_| Ok(finalize(device, &labels, &core)))
+        })?;
+        p.dense(DenseStats {
             num_cells: grid.num_cells(),
             num_dense_cells: grid.num_dense_cells(),
             points_in_dense_cells: grid.points_in_dense_cells(),
             dense_fraction: grid.dense_fraction(),
-        }),
-        attempts: 0,
-        request_id: None,
-    };
-    Ok((clustering, stats))
+        });
+        Ok(clustering)
+    })
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -24,19 +24,18 @@
 //! the main phase where it now happens.
 
 use std::ops::ControlFlow;
-use std::time::Instant;
 
 use fdbscan_bvh::Bvh;
 use fdbscan_device::{Device, DeviceError, PipelineCheckpoint};
 use fdbscan_geom::{Aabb, Point};
 use fdbscan_unionfind::AtomicLabels;
 
-use crate::checkpoint::{
-    self, CoreSnapshot, LabelState, PHASE_FINALIZE, PHASE_INDEX, PHASE_MAIN, PHASE_PREPROCESS,
+use crate::checkpoint::{self, LabelState, PHASE_MAIN};
+use crate::framework::{
+    finalize, resolve_pair, resolve_pair_star, resumed_labels, run_pipeline, seed_lazy_core, Phase,
 };
-use crate::framework::{finalize, resolve_pair, resolve_pair_star, CoreFlags, LazyCore};
 use crate::labels::Clustering;
-use crate::stats::{PhaseCounters, RunStats};
+use crate::stats::RunStats;
 use crate::Params;
 
 /// Checkpoint algorithm tag of [`fdbscan`] runs.
@@ -115,82 +114,46 @@ fn fdbscan_core<const D: usize>(
     points: &[Point<D>],
     params: Params,
     options: FdbscanOptions,
-    mut ckpt: Option<&mut PipelineCheckpoint>,
+    ckpt: Option<&mut PipelineCheckpoint>,
 ) -> Result<(Clustering, RunStats), DeviceError> {
-    crate::validate_finite(points)?;
     let n = points.len();
     let Params { eps, minpts } = params;
-    let start = Instant::now();
-    let counters_before = device.counters().snapshot();
-    device.memory().reset_peak();
-    let tracer = device.tracer();
-    let _run_span = tracer.phase("fdbscan");
+    run_pipeline(device, "fdbscan", points, ckpt, |p| {
+        // Device-resident data: the points themselves + label + flag arrays.
+        let _points_mem = device.memory().reserve_array::<Point<D>>(n)?;
+        let _labels_mem = device.memory().reserve_array::<u32>(n)?;
+        let _flags_mem = device.memory().reserve(n.div_ceil(8))?;
 
-    // Device-resident data: the points themselves + label + flag arrays.
-    let _points_mem = device.memory().reserve_array::<Point<D>>(n)?;
-    let _labels_mem = device.memory().reserve_array::<u32>(n)?;
-    let _flags_mem = device.memory().reserve(n.div_ceil(8))?;
+        // Phase 1: search index.
+        let (bvh, _bvh_mem) = p.phase(Phase::Index, |p| {
+            let bvh = p.resume(Phase::Index, |_| {
+                let bounds: Vec<Aabb<D>> = points.iter().map(|p| Aabb::from_point(*p)).collect();
+                Bvh::build_in(device, device.arena(), &bounds)
+            })?;
+            let bvh_mem = device.memory().reserve(bvh.memory_bytes())?;
+            Ok((bvh, bvh_mem))
+        })?;
 
-    // Phase 1: search index.
-    let index_start = Instant::now();
-    let index_span = tracer.phase("index");
-    let bvh = match ckpt.as_deref().and_then(|c| c.restore::<Bvh<D>>(PHASE_INDEX)) {
-        Some(bvh) => {
-            tracer.instant("checkpoint.restore: index");
-            bvh
-        }
-        None => {
-            let bounds: Vec<Aabb<D>> = points.iter().map(|p| Aabb::from_point(*p)).collect();
-            let bvh = Bvh::build_in(device, device.arena(), &bounds)?;
-            if let Some(c) = ckpt.as_deref_mut() {
-                c.record(PHASE_INDEX, &bvh);
-                checkpoint::persist(c, device);
+        // A completed main phase supersedes preprocessing: its label state
+        // carries the (possibly lazily extended) core flags as well.
+        let restored_main = p.peek::<LabelState>(Phase::Main);
+
+        // Phase 2: preprocessing. Core counting is fused into the main
+        // kernel, so nothing launches here; the phase only seeds the fused
+        // kernel's lazy core state from restored checkpoints (a salvaged
+        // core-flag snapshot from the resilient ladder, or a completed main
+        // phase) and keeps the trace/phase-counter shape stable.
+        let (core, lazy) =
+            p.phase(Phase::Preprocess, |p| Ok(seed_lazy_core(p, restored_main.as_ref(), n)))?;
+
+        // Phase 3: main (core counting + masked traversal fused with
+        // union-find, one launch).
+        let labels = p.phase(Phase::Main, |p| {
+            if let Some(state) = restored_main {
+                p.restored(Phase::Main);
+                return Ok(resumed_labels(device, state.labels));
             }
-            bvh
-        }
-    };
-    let _bvh_mem = device.memory().reserve(bvh.memory_bytes())?;
-    drop(index_span);
-    let index_time = index_start.elapsed();
-    let after_index = device.counters().snapshot();
-
-    // A completed main phase supersedes preprocessing: its label state
-    // carries the (possibly lazily extended) core flags as well.
-    let restored_main = ckpt.as_deref().and_then(|c| c.restore::<LabelState>(PHASE_MAIN));
-
-    // Phase 2: preprocessing. Core counting is fused into the main
-    // kernel, so nothing launches here; the phase only seeds the fused
-    // kernel's lazy core state from restored checkpoints (a salvaged
-    // core-flag snapshot from the resilient ladder, or a completed main
-    // phase) and keeps the trace/phase-counter shape stable.
-    let preprocess_start = Instant::now();
-    let preprocess_span = tracer.phase("preprocess");
-    let (core, lazy) = if let Some(state) = &restored_main {
-        (CoreFlags::from_flags(&state.core), LazyCore::from_decided(&state.core))
-    } else if let Some(flags) =
-        ckpt.as_deref().and_then(|c| c.restore::<CoreSnapshot>(PHASE_PREPROCESS))
-    {
-        tracer.instant("checkpoint.restore: preprocess");
-        (CoreFlags::from_flags(&flags.0), LazyCore::from_decided(&flags.0))
-    } else {
-        (CoreFlags::new(n), LazyCore::new(n))
-    };
-    drop(preprocess_span);
-    let preprocess_time = preprocess_start.elapsed();
-    let after_preprocess = device.counters().snapshot();
-
-    // Phase 3: main (core counting + masked traversal fused with
-    // union-find, one launch).
-    let main_start = Instant::now();
-    let main_span = tracer.phase("main");
-    let labels = if let Some(state) = restored_main {
-        tracer.instant("checkpoint.restore: main");
-        let mut labels = AtomicLabels::from_labels(state.labels);
-        labels.attach_counters(device.counters_arc());
-        labels
-    } else {
-        let labels = AtomicLabels::with_counters(n, device.counters_arc());
-        {
+            let labels = AtomicLabels::with_counters(n, device.counters_arc());
             let bvh_ref = &bvh;
             let core_ref = &core;
             let lazy_ref = &lazy;
@@ -259,57 +222,15 @@ fn fdbscan_core<const D: usize>(
                     .neighbors_found
                     .fetch_add(stats.leaf_hits, std::sync::atomic::Ordering::Relaxed);
             })?;
-        }
-        if let Some(c) = ckpt.as_deref_mut() {
-            c.record(PHASE_MAIN, &LabelState { labels: labels.snapshot(), core: core.to_vec() });
-            checkpoint::persist(c, device);
-        }
-        labels
-    };
-    drop(main_span);
-    let main_time = main_start.elapsed();
-    let after_main = device.counters().snapshot();
+            p.record(PHASE_MAIN, || LabelState { labels: labels.snapshot(), core: core.to_vec() });
+            Ok(labels)
+        })?;
 
-    // Phase 4: finalization.
-    let finalize_start = Instant::now();
-    let finalize_span = tracer.phase("finalize");
-    let clustering = match ckpt.as_deref().and_then(|c| c.restore::<Clustering>(PHASE_FINALIZE)) {
-        Some(clustering) => {
-            tracer.instant("checkpoint.restore: finalize");
-            clustering
-        }
-        None => {
-            let clustering = finalize(device, &labels, &core);
-            if let Some(c) = ckpt {
-                c.record(PHASE_FINALIZE, &clustering);
-                checkpoint::persist(c, device);
-            }
-            clustering
-        }
-    };
-    drop(finalize_span);
-    let finalize_time = finalize_start.elapsed();
-    let after_finalize = device.counters().snapshot();
-
-    let stats = RunStats {
-        index_time,
-        preprocess_time,
-        main_time,
-        finalize_time,
-        total_time: start.elapsed(),
-        counters: after_finalize.since(&counters_before),
-        phase_counters: PhaseCounters {
-            index: after_index.since(&counters_before),
-            preprocess: after_preprocess.since(&after_index),
-            main: after_main.since(&after_preprocess),
-            finalize: after_finalize.since(&after_main),
-        },
-        peak_memory_bytes: device.memory().peak(),
-        dense: None,
-        attempts: 0,
-        request_id: None,
-    };
-    Ok((clustering, stats))
+        // Phase 4: finalization.
+        p.phase(Phase::Finalize, |p| {
+            p.resume(Phase::Finalize, |_| Ok(finalize(device, &labels, &core)))
+        })
+    })
 }
 
 #[cfg(test)]
@@ -439,37 +360,6 @@ mod tests {
             stats3.phase_counters.main.distance_computations > 0,
             "fused core counting charges the main phase"
         );
-    }
-
-    #[test]
-    fn phase_counters_partition_run_counters() {
-        let points = random_points(400, 5.0, 21);
-        let (_, stats) = fdbscan(&device(), &points, Params::new(0.3, 5)).unwrap();
-        let pc = &stats.phase_counters;
-        // Phase deltas must sum to the run-inclusive delta.
-        assert_eq!(
-            pc.index.kernel_launches
-                + pc.preprocess.kernel_launches
-                + pc.main.kernel_launches
-                + pc.finalize.kernel_launches,
-            stats.counters.kernel_launches
-        );
-        assert_eq!(
-            pc.index.distance_computations
-                + pc.preprocess.distance_computations
-                + pc.main.distance_computations
-                + pc.finalize.distance_computations,
-            stats.counters.distance_computations
-        );
-        // And land where the algorithm does the work.
-        assert!(pc.index.kernel_launches > 0, "BVH build launches kernels");
-        assert_eq!(pc.index.distance_computations, 0, "index phase computes no distances");
-        assert_eq!(pc.preprocess.kernel_launches, 0, "preprocessing is fused into main");
-        assert_eq!(pc.preprocess.distance_computations, 0, "preprocessing is fused into main");
-        assert!(pc.main.distance_computations > 0, "fused core counting measures distances");
-        assert!(pc.main.unions > 0, "unions happen in the main phase");
-        assert_eq!(pc.main.unions, stats.counters.unions);
-        assert!(pc.finalize.kernel_launches > 0, "finalize launches the flatten kernel");
     }
 
     #[test]

@@ -1,31 +1,27 @@
 //! FDBSCAN over any [`SpatialIndex`].
 //!
-//! [`fdbscan_on_index`] is the index-agnostic core of the framework:
+//! [`fdbscan_on_index`] is the index-agnostic form of the framework:
 //! preprocessing (early-terminated core counting), the masked main phase
 //! and finalization, all expressed through the [`SpatialIndex`] trait.
 //! [`fdbscan_kdtree()`] instantiates it with the k-d tree, realizing the
-//! paper's "any tree can be used" remark; the distributed driver
-//! (`fdbscan-dist`) builds on the same entry point.
+//! paper's "any tree can be used" remark. [`main_phase`] is also the
+//! building block of the `minpts` sweep ([`crate::sweep`]) and of the
+//! distributed driver (`fdbscan-dist`), which runs it on each rank's
+//! BVH ([`crate::index::build_bvh_index`]).
 
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
-use fdbscan_device::{Device, DeviceError, PipelineCheckpoint};
+use fdbscan_device::{Device, DeviceError};
 use fdbscan_geom::Point;
 use fdbscan_kdtree::KdTree;
 use fdbscan_unionfind::AtomicLabels;
 
-use crate::checkpoint::{
-    self, CoreSnapshot, LabelState, PHASE_FINALIZE, PHASE_MAIN, PHASE_PREPROCESS,
-};
-use crate::framework::{finalize, resolve_pair, resolve_pair_star, CoreFlags};
+use crate::framework::{finalize, resolve_pair, resolve_pair_star, run_pipeline, CoreFlags, Phase};
 use crate::index::SpatialIndex;
 use crate::labels::Clustering;
-use crate::stats::{PhaseCounters, RunStats};
+use crate::stats::RunStats;
 use crate::{FdbscanOptions, Params};
-
-/// Checkpoint algorithm tag of [`fdbscan_on_index`] runs.
-pub const GENERIC_ALGORITHM: &str = "fdbscan-generic";
 
 /// Runs the FDBSCAN phases over a prebuilt index.
 ///
@@ -39,169 +35,62 @@ pub fn fdbscan_on_index<const D: usize, I: SpatialIndex<D>>(
     options: FdbscanOptions,
     index_time: Duration,
 ) -> Result<(Clustering, RunStats), DeviceError> {
-    on_index_core(device, points, index, params, options, index_time, None)
-}
-
-/// [`fdbscan_on_index`], resuming from (and recording into) a
-/// checkpoint. The index itself is caller-provided, so the resumable
-/// boundaries are preprocess, main and finalize; the caller is
-/// responsible for rebuilding (or separately caching) its index.
-pub fn fdbscan_on_index_from<const D: usize, I: SpatialIndex<D>>(
-    device: &Device,
-    points: &[Point<D>],
-    index: &I,
-    params: Params,
-    options: FdbscanOptions,
-    index_time: Duration,
-    ckpt: &mut PipelineCheckpoint,
-) -> Result<(Clustering, RunStats), DeviceError> {
-    checkpoint::prepare(ckpt, GENERIC_ALGORITHM, points, params);
-    on_index_core(device, points, index, params, options, index_time, Some(ckpt))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn on_index_core<const D: usize, I: SpatialIndex<D>>(
-    device: &Device,
-    points: &[Point<D>],
-    index: &I,
-    params: Params,
-    options: FdbscanOptions,
-    index_time: Duration,
-    mut ckpt: Option<&mut PipelineCheckpoint>,
-) -> Result<(Clustering, RunStats), DeviceError> {
-    crate::validate_finite(points)?;
     let n = points.len();
     assert_eq!(index.size(), n, "index does not cover the point set");
     let Params { eps, minpts } = params;
-    let start = Instant::now();
-    let counters_before = device.counters().snapshot();
-    device.memory().reset_peak();
+    run_pipeline(device, "fdbscan-generic", points, None, |p| {
+        let _points_mem = device.memory().reserve_array::<Point<D>>(n)?;
+        let _labels_mem = device.memory().reserve_array::<u32>(n)?;
+        let _flags_mem = device.memory().reserve(n.div_ceil(8))?;
+        let _index_mem = device.memory().reserve(index.memory_bytes())?;
+        p.untraced(Phase::Index, index_time);
 
-    let tracer = device.tracer();
-    let _run_span = tracer.phase("fdbscan-generic");
-
-    let _points_mem = device.memory().reserve_array::<Point<D>>(n)?;
-    let _labels_mem = device.memory().reserve_array::<u32>(n)?;
-    let _flags_mem = device.memory().reserve(n.div_ceil(8))?;
-    let _index_mem = device.memory().reserve(index.memory_bytes())?;
-    let after_index = device.counters().snapshot();
-
-    // A completed main phase supersedes preprocessing: its label state
-    // carries the (possibly lazily extended) core flags as well.
-    let restored_main = ckpt.as_deref().and_then(|c| c.restore::<LabelState>(PHASE_MAIN));
-
-    // Preprocessing.
-    let preprocess_span = tracer.phase("preprocess");
-    let preprocess_start = Instant::now();
-    let core = if let Some(state) = &restored_main {
-        CoreFlags::from_flags(&state.core)
-    } else if let Some(flags) =
-        ckpt.as_deref().and_then(|c| c.restore::<CoreSnapshot>(PHASE_PREPROCESS))
-    {
-        tracer.instant("checkpoint.restore: preprocess");
-        CoreFlags::from_flags(&flags.0)
-    } else {
-        let core = CoreFlags::new(n);
-        match minpts {
-            0 => unreachable!("Params::new validates minpts >= 1"),
-            1 => {
-                let core_ref = &core;
-                device.try_launch_named("generic.mark_all_core", n, |i| core_ref.set(i as u32))?;
-            }
-            2 => {}
-            _ => {
-                let core_ref = &core;
-                let counters = device.counters();
-                let early = options.early_termination;
-                device.try_launch_named("generic.core_count", n, |i| {
-                    let mut count = 0usize;
-                    let stats = index.query_radius(&points[i], eps, 0, &mut |_, _| {
-                        count += 1;
-                        if early && count >= minpts {
-                            ControlFlow::Break(())
-                        } else {
-                            ControlFlow::Continue(())
+        // Preprocessing.
+        let core = p.phase(Phase::Preprocess, |_| {
+            let core = CoreFlags::new(n);
+            match minpts {
+                0 => unreachable!("Params::new validates minpts >= 1"),
+                1 => {
+                    let core_ref = &core;
+                    device
+                        .try_launch_named("generic.mark_all_core", n, |i| core_ref.set(i as u32))?;
+                }
+                2 => {}
+                _ => {
+                    let core_ref = &core;
+                    let counters = device.counters();
+                    let early = options.early_termination;
+                    device.try_launch_named("generic.core_count", n, |i| {
+                        let mut count = 0usize;
+                        let stats = index.query_radius(&points[i], eps, 0, &mut |_, _| {
+                            count += 1;
+                            if early && count >= minpts {
+                                ControlFlow::Break(())
+                            } else {
+                                ControlFlow::Continue(())
+                            }
+                        });
+                        if count >= minpts {
+                            core_ref.set(i as u32);
                         }
-                    });
-                    if count >= minpts {
-                        core_ref.set(i as u32);
-                    }
-                    counters.add_nodes_visited(stats.nodes_visited);
-                    counters.add_distances(stats.distance_tests);
-                })?;
+                        counters.add_nodes_visited(stats.nodes_visited);
+                        counters.add_distances(stats.distance_tests);
+                    })?;
+                }
             }
-        }
-        if let Some(c) = ckpt.as_deref_mut() {
-            c.record(PHASE_PREPROCESS, &CoreSnapshot(core.to_vec()));
-            checkpoint::persist(c, device);
-        }
-        core
-    };
-    let preprocess_time = preprocess_start.elapsed();
-    drop(preprocess_span);
-    let after_preprocess = device.counters().snapshot();
+            Ok(core)
+        })?;
 
-    // Main phase.
-    let main_span = tracer.phase("main");
-    let main_start = Instant::now();
-    let labels = if let Some(state) = restored_main {
-        tracer.instant("checkpoint.restore: main");
-        let mut labels = AtomicLabels::from_labels(state.labels);
-        labels.attach_counters(device.counters_arc());
-        labels
-    } else {
-        let labels = AtomicLabels::with_counters(n, device.counters_arc());
-        main_phase(device, points, index, params, options, &labels, &core)?;
-        if let Some(c) = ckpt.as_deref_mut() {
-            c.record(PHASE_MAIN, &LabelState { labels: labels.snapshot(), core: core.to_vec() });
-            checkpoint::persist(c, device);
-        }
-        labels
-    };
-    let main_time = main_start.elapsed();
-    drop(main_span);
-    let after_main = device.counters().snapshot();
+        // Main phase.
+        let labels = p.phase(Phase::Main, |_| {
+            let labels = AtomicLabels::with_counters(n, device.counters_arc());
+            main_phase(device, points, index, params, options, &labels, &core)?;
+            Ok(labels)
+        })?;
 
-    // Finalization.
-    let finalize_span = tracer.phase("finalize");
-    let finalize_start = Instant::now();
-    let clustering = match ckpt.as_deref().and_then(|c| c.restore::<Clustering>(PHASE_FINALIZE)) {
-        Some(clustering) => {
-            tracer.instant("checkpoint.restore: finalize");
-            clustering
-        }
-        None => {
-            let clustering = finalize(device, &labels, &core);
-            if let Some(c) = ckpt {
-                c.record(PHASE_FINALIZE, &clustering);
-                checkpoint::persist(c, device);
-            }
-            clustering
-        }
-    };
-    let finalize_time = finalize_start.elapsed();
-    drop(finalize_span);
-    let after_finalize = device.counters().snapshot();
-
-    let stats = RunStats {
-        index_time,
-        preprocess_time,
-        main_time,
-        finalize_time,
-        total_time: start.elapsed() + index_time,
-        counters: after_finalize.since(&counters_before),
-        phase_counters: PhaseCounters {
-            index: after_index.since(&counters_before),
-            preprocess: after_preprocess.since(&after_index),
-            main: after_main.since(&after_preprocess),
-            finalize: after_finalize.since(&after_main),
-        },
-        peak_memory_bytes: device.memory().peak(),
-        dense: None,
-        attempts: 0,
-        request_id: None,
-    };
-    Ok((clustering, stats))
+        // Finalization.
+        p.phase(Phase::Finalize, |_| Ok(finalize(device, &labels, &core)))
+    })
 }
 
 /// The main phase of Algorithm 3 over any index: one masked (or
@@ -300,16 +189,16 @@ mod tests {
     }
 
     #[test]
-    fn generic_over_bvh_equals_specialized_fdbscan() {
+    fn generic_over_bvh_equals_specialized_fdbscan() -> Result<(), DeviceError> {
         let points = random_points(600, 4.0, 44);
         let params = Params::new(0.25, 5);
         let d = device();
-        let (specialized, _) = crate::fdbscan(&d, &points, params).unwrap();
-        let bvh = build_bvh_index(&d, &points);
+        let (specialized, _) = crate::fdbscan(&d, &points, params)?;
+        let bvh = build_bvh_index(&d, &points)?;
         let (generic, _) =
-            fdbscan_on_index(&d, &points, &bvh, params, FdbscanOptions::default(), Duration::ZERO)
-                .unwrap();
+            fdbscan_on_index(&d, &points, &bvh, params, FdbscanOptions::default(), Duration::ZERO)?;
         assert_core_equivalent(&specialized, &generic);
+        Ok(())
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use std::ops::ControlFlow;
 
 use fdbscan_bvh::Bvh;
+use fdbscan_device::{Device, DeviceError};
 use fdbscan_geom::{Aabb, Point};
 use fdbscan_kdtree::KdTree;
 
@@ -103,18 +104,21 @@ impl<const D: usize> SpatialIndex<D> for KdTree<D> {
 }
 
 /// Builds a point-only BVH index (the paper's default).
+///
+/// # Errors
+/// Propagates [`DeviceError`] from the build's scratch reservations
+/// (budget exhaustion or injected faults) and its launches.
 pub fn build_bvh_index<const D: usize>(
-    device: &fdbscan_device::Device,
+    device: &Device,
     points: &[Point<D>],
-) -> Bvh<D> {
+) -> Result<Bvh<D>, DeviceError> {
     let bounds: Vec<Aabb<D>> = points.iter().map(|p| Aabb::from_point(*p)).collect();
-    Bvh::build(device, &bounds)
+    Bvh::build_in(device, device.arena(), &bounds)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fdbscan_device::Device;
     use fdbscan_geom::Point2;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -137,7 +141,7 @@ mod tests {
     fn bvh_and_kdtree_agree_through_the_trait() {
         let device = Device::with_defaults();
         let points = random_points(800, 5);
-        let bvh = build_bvh_index(&device, &points);
+        let bvh = build_bvh_index(&device, &points).unwrap();
         let kd = KdTree::build(&points);
         assert_eq!(SpatialIndex::<2>::size(&bvh), kd.size());
         let mut rng = StdRng::seed_from_u64(6);
@@ -152,7 +156,7 @@ mod tests {
     fn positions_are_bijective_for_both() {
         let device = Device::with_defaults();
         let points = random_points(300, 7);
-        let bvh = build_bvh_index(&device, &points);
+        let bvh = build_bvh_index(&device, &points).unwrap();
         let kd = KdTree::build(&points);
         for id in 0..300u32 {
             let _ = SpatialIndex::<2>::position_of(&bvh, id);
@@ -171,7 +175,7 @@ mod tests {
     fn stats_are_populated() {
         let device = Device::with_defaults();
         let points = random_points(500, 8);
-        let bvh = build_bvh_index(&device, &points);
+        let bvh = build_bvh_index(&device, &points).unwrap();
         let stats = bvh.query_radius(&points[0], 1.0, 0, &mut |_, _| ControlFlow::Continue(()));
         assert!(stats.nodes_visited > 0);
         assert!(stats.distance_tests > 0); // at least itself

@@ -33,7 +33,7 @@ pub fn kdist_curve<const D: usize>(
         return Ok(Vec::new());
     }
     let _mem = device.memory().reserve_array::<Point<D>>(n)?;
-    let bvh = build_bvh_index(device, points);
+    let bvh = build_bvh_index(device, points)?;
     let _bvh_mem = device.memory().reserve(bvh.memory_bytes())?;
 
     let stride = n.div_ceil(max_samples);

@@ -452,7 +452,7 @@ fn run_distributed<const D: usize>(
                                 // checksum must fail here, not
                                 // poison the BVH build.
                                 fdbscan::validate_finite(&set.local_points)?;
-                                let bvh = build_bvh_index(rank_device, &set.local_points);
+                                let bvh = build_bvh_index(rank_device, &set.local_points)?;
                                 let bvh_ref = &bvh;
                                 let local_points_ref = &set.local_points;
                                 let to_global = &set.to_global;
@@ -543,7 +543,7 @@ fn run_distributed<const D: usize>(
                                     let local_points = &set.local_points;
                                     fdbscan::validate_finite(local_points)?;
                                     let local_n = local_points.len();
-                                    let bvh = build_bvh_index(rank_device, local_points);
+                                    let bvh = build_bvh_index(rank_device, local_points)?;
 
                                     // Owned flags were computed here;
                                     // ghost flags arrived over the wire.

@@ -3,7 +3,7 @@
 //! framework's memory stays linear in n and survives the same budget.
 
 use fdbscan::baselines::gdbscan;
-use fdbscan::{fdbscan, fdbscan_densebox, Params};
+use fdbscan::{fdbscan, fdbscan_densebox, kdist_curve, MinptsSweep, Params};
 use fdbscan_data::Dataset2;
 use fdbscan_device::{Device, DeviceConfig, DeviceError};
 
@@ -91,4 +91,24 @@ fn failed_run_releases_all_memory() {
     // And a tree algorithm still fits.
     let (c, _) = fdbscan(&device, &points, Params::new(0.05, 20)).unwrap();
     assert!(c.num_clusters > 0);
+}
+
+#[test]
+fn bvh_index_helpers_report_oom_instead_of_panicking() {
+    // 4000 2-D points: the budget holds the points (32 000 B) and the
+    // sweep's neighbor counts (16 000 B) but not the BVH build scratch
+    // on top, so both helpers must fail with a typed error.
+    let points = Dataset2::Ngsim.generate(4000, 6);
+    let device = budgeted(56_000);
+    match MinptsSweep::new(&device, &points, 0.01) {
+        Err(DeviceError::OutOfMemory { budget, .. }) => assert_eq!(budget, 56_000),
+        Err(other) => panic!("sweep setup: expected OOM, got {other:?}"),
+        Ok(_) => panic!("sweep setup fit a budget too small for its BVH"),
+    }
+    assert_eq!(device.memory().in_use(), 0, "sweep setup leaked reservations");
+    match kdist_curve(&device, &points, 5, 256) {
+        Err(DeviceError::OutOfMemory { budget, .. }) => assert_eq!(budget, 56_000),
+        other => panic!("k-dist curve: expected OOM, got {other:?}"),
+    }
+    assert_eq!(device.memory().in_use(), 0, "k-dist curve leaked reservations");
 }
