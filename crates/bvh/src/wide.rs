@@ -31,7 +31,7 @@
 //! Starting from the binary root's two children, the child covering the
 //! most leaves is repeatedly replaced by its own two children until the
 //! node has 8 slots. Slots that are single leaves or small subtrees
-//! (≤ [`RUN_THRESHOLD`] leaves) become leaf runs; larger subtrees
+//! (≤ `RUN_THRESHOLD` = 16 leaves) become leaf runs; larger subtrees
 //! become child wide nodes, processed iteratively (no recursion, so
 //! degenerate spine-shaped trees cannot overflow the host stack).
 
@@ -68,7 +68,7 @@ pub struct WideNode<const D: usize> {
     /// Child upper corners, dimension-major lanes.
     pub hi: [[f32; WIDTH]; D],
     /// Per-lane link: index of the child wide node, or (leaf flag set)
-    /// a leaf run covering the lane's sorted range, or [`EMPTY`].
+    /// a leaf run covering the lane's sorted range, or `u32::MAX` (empty).
     pub child: [u32; WIDTH],
     /// Sorted-leaf range `[first, last]` covered by each lane.
     pub ranges: [[u32; 2]; WIDTH],

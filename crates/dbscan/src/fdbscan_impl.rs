@@ -4,16 +4,16 @@
 //! them):
 //!
 //! 1. **index** — build a linear BVH over the points,
-//! 2. **main** — one kernel fusing core determination with pair
-//!    resolution. Each thread first decides its own point's core status
-//!    via [`LazyCore`] (an early-terminating counting traversal, run
-//!    exactly once per point no matter how many pairs touch it), then
-//!    runs the *index-masked* traversal (cutoff = its own sorted-leaf
-//!    position + 1, Fig. 1) so each close pair is discovered exactly
-//!    once, resolving it per Algorithm 3 (union for core–core, CAS
-//!    border claim otherwise) after lazily deciding the partner's core
-//!    status. `minpts <= 2` needs no counting at all (Algorithm 3 line
-//!    2): with `minpts == 2` any matched pair proves both endpoints
+//! 2. **main** — one kernel, [`main_fused`], fusing core determination
+//!    with pair resolution. Each thread first decides its own point's
+//!    core status via [`LazyCore`] (an early-terminating counting
+//!    traversal, run exactly once per point no matter how many pairs
+//!    touch it), then runs the *index-masked* traversal (cutoff = its own
+//!    sorted-leaf position + 1, Fig. 1) so each close pair is discovered
+//!    exactly once, resolving it per Algorithm 3 (union for core–core,
+//!    CAS border claim otherwise) after lazily deciding the partner's
+//!    core status. `minpts <= 2` needs no counting at all (Algorithm 3
+//!    line 2): with `minpts == 2` any matched pair proves both endpoints
 //!    core, and with `minpts == 1` every point is core.
 //! 3. **finalization** — flatten the union-find and relabel.
 //!
@@ -22,18 +22,29 @@
 //! is still emitted (empty) so traces and phase counters keep their
 //! shape; its counters are zero and the counting work is attributed to
 //! the main phase where it now happens.
+//!
+//! [`main_fused`] is generic over [`SpatialIndex`] and is the only main
+//! kernel of Algorithm 3 outside FDBSCAN-DenseBox: the k-d tree path
+//! ([`crate::fdbscan_kdtree()`]) runs the same pipeline over another
+//! index, while the `minpts` sweep ([`crate::sweep`]) and the
+//! distributed ranks (`fdbscan-dist`) hand it a [`LazyCore`] whose
+//! points are all decided already, so it never counts.
 
+use std::borrow::Borrow;
 use std::ops::ControlFlow;
+use std::sync::atomic::Ordering;
 
 use fdbscan_bvh::Bvh;
-use fdbscan_device::{Device, DeviceError, PipelineCheckpoint};
-use fdbscan_geom::{Aabb, Point};
+use fdbscan_device::{Device, DeviceError, MemoryReservation, PipelineCheckpoint};
+use fdbscan_geom::Point;
 use fdbscan_unionfind::AtomicLabels;
 
 use crate::checkpoint::{self, LabelState, PHASE_MAIN};
 use crate::framework::{
-    finalize, resolve_pair, resolve_pair_star, resumed_labels, run_pipeline, seed_lazy_core, Phase,
+    finalize, resolve_pair, resolve_pair_star, resumed_labels, run_pipeline, seed_lazy_core,
+    CoreFlags, LazyCore, Phase, Pipeline,
 };
+use crate::index::{build_bvh_index, count_neighbors, SpatialIndex};
 use crate::labels::Clustering;
 use crate::stats::RunStats;
 use crate::Params;
@@ -97,7 +108,7 @@ pub fn fdbscan_with<const D: usize>(
 /// the moment it completes, so on a kernel fault the caller's
 /// checkpoint retains every phase finished before the fault. A
 /// checkpoint whose algorithm or input fingerprint does not match this
-/// run is reset to empty first (see [`crate::checkpoint::prepare`]).
+/// run is reset to empty first.
 pub fn fdbscan_run_from<const D: usize>(
     device: &Device,
     points: &[Point<D>],
@@ -116,23 +127,42 @@ fn fdbscan_core<const D: usize>(
     options: FdbscanOptions,
     ckpt: Option<&mut PipelineCheckpoint>,
 ) -> Result<(Clustering, RunStats), DeviceError> {
+    fdbscan_pipeline::<D, Bvh<D>, _>(device, "fdbscan", points, params, options, ckpt, |p| {
+        p.phase(Phase::Index, |p| {
+            let bvh = p.resume(Phase::Index, |_| build_bvh_index(device, points))?;
+            let bvh_mem = device.memory().reserve(bvh.memory_bytes())?;
+            Ok((bvh, bvh_mem))
+        })
+    })
+}
+
+/// The FDBSCAN pipeline over any index, under the run span `label`:
+/// `index_phase` builds the index (or accounts for a prebuilt one) and
+/// returns it with its memory reservation; preprocessing, the fused main
+/// kernel and finalization are the same for every index.
+pub(crate) fn fdbscan_pipeline<const D: usize, I, R>(
+    device: &Device,
+    label: &'static str,
+    points: &[Point<D>],
+    params: Params,
+    options: FdbscanOptions,
+    ckpt: Option<&mut PipelineCheckpoint>,
+    index_phase: impl FnOnce(&mut Pipeline<'_>) -> Result<(R, MemoryReservation), DeviceError>,
+) -> Result<(Clustering, RunStats), DeviceError>
+where
+    I: SpatialIndex<D>,
+    R: Borrow<I>,
+{
     let n = points.len();
-    let Params { eps, minpts } = params;
-    run_pipeline(device, "fdbscan", points, ckpt, |p| {
+    run_pipeline(device, label, points, ckpt, |p| {
         // Device-resident data: the points themselves + label + flag arrays.
         let _points_mem = device.memory().reserve_array::<Point<D>>(n)?;
         let _labels_mem = device.memory().reserve_array::<u32>(n)?;
         let _flags_mem = device.memory().reserve(n.div_ceil(8))?;
 
         // Phase 1: search index.
-        let (bvh, _bvh_mem) = p.phase(Phase::Index, |p| {
-            let bvh = p.resume(Phase::Index, |_| {
-                let bounds: Vec<Aabb<D>> = points.iter().map(|p| Aabb::from_point(*p)).collect();
-                Bvh::build_in(device, device.arena(), &bounds)
-            })?;
-            let bvh_mem = device.memory().reserve(bvh.memory_bytes())?;
-            Ok((bvh, bvh_mem))
-        })?;
+        let (index, _index_mem) = index_phase(p)?;
+        let index = index.borrow();
 
         // A completed main phase supersedes preprocessing: its label state
         // carries the (possibly lazily extended) core flags as well.
@@ -154,74 +184,7 @@ fn fdbscan_core<const D: usize>(
                 return Ok(resumed_labels(device, state.labels));
             }
             let labels = AtomicLabels::with_counters(n, device.counters_arc());
-            let bvh_ref = &bvh;
-            let core_ref = &core;
-            let lazy_ref = &lazy;
-            let labels_ref = &labels;
-            let counters = device.counters();
-            let masked = options.masked_traversal;
-            let early = options.early_termination;
-            // Decides a point's core status on first demand (exactly once
-            // per point, whichever thread asks first).
-            let ensure_core = |p: u32| -> bool {
-                lazy_ref.ensure(core_ref, p, || match minpts {
-                    0 => unreachable!("Params::new validates minpts >= 1"),
-                    // Every point is trivially core (its neighborhood
-                    // contains itself).
-                    1 => true,
-                    2 => unreachable!("minpts == 2 marks cores inline, never lazily"),
-                    _ => {
-                        let mut count = 0usize;
-                        let stats =
-                            bvh_ref.for_each_in_radius(&points[p as usize], eps, 0, |_, _| {
-                                count += 1;
-                                if early && count >= minpts {
-                                    ControlFlow::Break(())
-                                } else {
-                                    ControlFlow::Continue(())
-                                }
-                            });
-                        counters.add_nodes_visited(stats.nodes_visited);
-                        counters.add_wide_nodes_visited(stats.wide_nodes_visited);
-                        counters.add_wide_leaf_lanes(stats.wide_leaf_lanes);
-                        counters.add_distances(stats.distance_tests());
-                        count >= minpts
-                    }
-                })
-            };
-            device.try_launch_named("fdbscan.main_fused", n, |i| {
-                let i = i as u32;
-                if minpts != 2 {
-                    ensure_core(i);
-                }
-                let cutoff = if masked { bvh_ref.leaf_pos_of(i) + 1 } else { 0 };
-                let stats = bvh_ref.for_each_in_radius(&points[i as usize], eps, cutoff, |_, j| {
-                    if !masked && j == i {
-                        return ControlFlow::Continue(());
-                    }
-                    if minpts == 2 {
-                        // Any matched pair proves both endpoints core.
-                        core_ref.set(i);
-                        core_ref.set(j);
-                        labels_ref.union(i, j);
-                    } else {
-                        ensure_core(j);
-                        if options.star {
-                            resolve_pair_star(labels_ref, core_ref, i, j);
-                        } else {
-                            resolve_pair(labels_ref, core_ref, i, j);
-                        }
-                    }
-                    ControlFlow::Continue(())
-                });
-                counters.add_nodes_visited(stats.nodes_visited);
-                counters.add_wide_nodes_visited(stats.wide_nodes_visited);
-                counters.add_wide_leaf_lanes(stats.wide_leaf_lanes);
-                counters.add_distances(stats.distance_tests());
-                counters
-                    .neighbors_found
-                    .fetch_add(stats.leaf_hits, std::sync::atomic::Ordering::Relaxed);
-            })?;
+            main_fused(device, points, index, params, options, &labels, &core, &lazy)?;
             p.record(PHASE_MAIN, || LabelState { labels: labels.snapshot(), core: core.to_vec() });
             Ok(labels)
         })?;
@@ -230,6 +193,75 @@ fn fdbscan_core<const D: usize>(
         p.phase(Phase::Finalize, |p| {
             p.resume(Phase::Finalize, |_| Ok(finalize(device, &labels, &core)))
         })
+    })
+}
+
+/// The main kernel of Algorithm 3 over any index (`fdbscan.main_fused`):
+/// one masked (or unmasked) radius query per point, fused with the core
+/// decision and the union-find resolution of each discovered pair.
+///
+/// Core status comes from `lazy`: a point nobody has decided yet is
+/// counted on first demand (early-terminated at `minpts` unless
+/// `options.early_termination` is off), exactly once per point. Callers
+/// with definitive flags (the `minpts` sweep, the distributed ranks)
+/// pass [`LazyCore::from_decided`] with the same flags in `core`, so
+/// the kernel never counts. With `minpts == 2` any matched pair proves
+/// both endpoints core, so no decision is consulted at all.
+#[allow(clippy::too_many_arguments)]
+pub fn main_fused<const D: usize, I: SpatialIndex<D>>(
+    device: &Device,
+    points: &[Point<D>],
+    index: &I,
+    params: Params,
+    options: FdbscanOptions,
+    labels: &AtomicLabels,
+    core: &CoreFlags,
+    lazy: &LazyCore,
+) -> Result<(), DeviceError> {
+    let n = points.len();
+    let Params { eps, minpts } = params;
+    let counters = device.counters();
+    let masked = options.masked_traversal;
+    let limit = if options.early_termination { minpts } else { usize::MAX };
+    // Decides a point's core status on first demand (exactly once per
+    // point, whichever thread asks first).
+    let ensure_core = |p: u32| -> bool {
+        lazy.ensure(core, p, || match minpts {
+            0 => unreachable!("Params::new validates minpts >= 1"),
+            // Every point is trivially core (its neighborhood contains
+            // itself).
+            1 => true,
+            2 => unreachable!("minpts == 2 marks cores inline, never lazily"),
+            _ => count_neighbors(index, counters, &points[p as usize], eps, limit) >= minpts,
+        })
+    };
+    device.try_launch_named("fdbscan.main_fused", n, |i| {
+        let i = i as u32;
+        if minpts != 2 {
+            ensure_core(i);
+        }
+        let cutoff = if masked { index.position_of(i) + 1 } else { 0 };
+        let stats = index.query_radius(&points[i as usize], eps, cutoff, |_, j| {
+            if !masked && j == i {
+                return ControlFlow::Continue(());
+            }
+            if minpts == 2 {
+                // Any matched pair proves both endpoints core.
+                core.set(i);
+                core.set(j);
+                labels.union(i, j);
+            } else {
+                ensure_core(j);
+                if options.star {
+                    resolve_pair_star(labels, core, i, j);
+                } else {
+                    resolve_pair(labels, core, i, j);
+                }
+            }
+            ControlFlow::Continue(())
+        });
+        stats.charge(counters);
+        counters.neighbors_found.fetch_add(stats.leaf_hits, Ordering::Relaxed);
     })
 }
 

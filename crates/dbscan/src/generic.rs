@@ -1,23 +1,21 @@
 //! FDBSCAN over any [`SpatialIndex`].
 //!
-//! [`fdbscan_on_index`] is the index-agnostic form of the framework:
-//! preprocessing (early-terminated core counting), the masked main phase
-//! and finalization, all expressed through the [`SpatialIndex`] trait.
-//! [`fdbscan_kdtree()`] instantiates it with the k-d tree, realizing the
-//! paper's "any tree can be used" remark. [`main_phase`] is also the
-//! building block of the `minpts` sweep ([`crate::sweep`]) and of the
-//! distributed driver (`fdbscan-dist`), which runs it on each rank's
-//! BVH ([`crate::index::build_bvh_index`]).
+//! [`fdbscan_on_index`] runs the FDBSCAN pipeline — the same
+//! preprocessing, fused main kernel
+//! ([`crate::fdbscan_impl::main_fused`]) and finalization as
+//! [`crate::fdbscan()`] — over a prebuilt index; only the index phase
+//! differs. [`fdbscan_kdtree()`] instantiates it with the k-d tree,
+//! realizing the paper's "any tree can be used" remark. Checkpointing
+//! stays with the BVH entry points.
 
-use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 use fdbscan_device::{Device, DeviceError};
 use fdbscan_geom::Point;
 use fdbscan_kdtree::KdTree;
-use fdbscan_unionfind::AtomicLabels;
 
-use crate::framework::{finalize, resolve_pair, resolve_pair_star, run_pipeline, CoreFlags, Phase};
+use crate::fdbscan_impl::fdbscan_pipeline;
+use crate::framework::Phase;
 use crate::index::SpatialIndex;
 use crate::labels::Clustering;
 use crate::stats::RunStats;
@@ -35,105 +33,11 @@ pub fn fdbscan_on_index<const D: usize, I: SpatialIndex<D>>(
     options: FdbscanOptions,
     index_time: Duration,
 ) -> Result<(Clustering, RunStats), DeviceError> {
-    let n = points.len();
-    assert_eq!(index.size(), n, "index does not cover the point set");
-    let Params { eps, minpts } = params;
-    run_pipeline(device, "fdbscan-generic", points, None, |p| {
-        let _points_mem = device.memory().reserve_array::<Point<D>>(n)?;
-        let _labels_mem = device.memory().reserve_array::<u32>(n)?;
-        let _flags_mem = device.memory().reserve(n.div_ceil(8))?;
-        let _index_mem = device.memory().reserve(index.memory_bytes())?;
+    assert_eq!(index.size(), points.len(), "index does not cover the point set");
+    fdbscan_pipeline::<D, I, _>(device, "fdbscan-generic", points, params, options, None, |p| {
+        let index_mem = device.memory().reserve(index.memory_bytes())?;
         p.untraced(Phase::Index, index_time);
-
-        // Preprocessing.
-        let core = p.phase(Phase::Preprocess, |_| {
-            let core = CoreFlags::new(n);
-            match minpts {
-                0 => unreachable!("Params::new validates minpts >= 1"),
-                1 => {
-                    let core_ref = &core;
-                    device
-                        .try_launch_named("generic.mark_all_core", n, |i| core_ref.set(i as u32))?;
-                }
-                2 => {}
-                _ => {
-                    let core_ref = &core;
-                    let counters = device.counters();
-                    let early = options.early_termination;
-                    device.try_launch_named("generic.core_count", n, |i| {
-                        let mut count = 0usize;
-                        let stats = index.query_radius(&points[i], eps, 0, &mut |_, _| {
-                            count += 1;
-                            if early && count >= minpts {
-                                ControlFlow::Break(())
-                            } else {
-                                ControlFlow::Continue(())
-                            }
-                        });
-                        if count >= minpts {
-                            core_ref.set(i as u32);
-                        }
-                        counters.add_nodes_visited(stats.nodes_visited);
-                        counters.add_distances(stats.distance_tests);
-                    })?;
-                }
-            }
-            Ok(core)
-        })?;
-
-        // Main phase.
-        let labels = p.phase(Phase::Main, |_| {
-            let labels = AtomicLabels::with_counters(n, device.counters_arc());
-            main_phase(device, points, index, params, options, &labels, &core)?;
-            Ok(labels)
-        })?;
-
-        // Finalization.
-        p.phase(Phase::Finalize, |_| Ok(finalize(device, &labels, &core)))
-    })
-}
-
-/// The main phase of Algorithm 3 over any index: one masked (or
-/// unmasked) radius query per point, fused with the union-find
-/// resolution. Exposed as a building block for the multi-minpts sweep
-/// ([`crate::sweep`]) and the distributed driver (`fdbscan-dist`), which
-/// supply their own label arrays and core flags.
-///
-/// Callers must have populated `core` before the launch unless
-/// `params.minpts <= 2` (lazy marking applies then).
-pub fn main_phase<const D: usize, I: SpatialIndex<D>>(
-    device: &Device,
-    points: &[Point<D>],
-    index: &I,
-    params: Params,
-    options: FdbscanOptions,
-    labels: &AtomicLabels,
-    core: &CoreFlags,
-) -> Result<(), DeviceError> {
-    let n = points.len();
-    let Params { eps, minpts } = params;
-    let counters = device.counters();
-    let masked = options.masked_traversal;
-    device.try_launch_named("generic.pair_resolution", n, |i| {
-        let i = i as u32;
-        let cutoff = if masked { index.position_of(i) + 1 } else { 0 };
-        let stats = index.query_radius(&points[i as usize], eps, cutoff, &mut |_, j| {
-            if !masked && j == i {
-                return ControlFlow::Continue(());
-            }
-            if minpts == 2 {
-                core.set(i);
-                core.set(j);
-                labels.union(i, j);
-            } else if options.star {
-                resolve_pair_star(labels, core, i, j);
-            } else {
-                resolve_pair(labels, core, i, j);
-            }
-            ControlFlow::Continue(())
-        });
-        counters.add_nodes_visited(stats.nodes_visited);
-        counters.add_distances(stats.distance_tests);
+        Ok((index, index_mem))
     })
 }
 

@@ -4,14 +4,15 @@
 //! ("while any tree can be used, BVH has been shown to be very efficient
 //! for low-dimensional data"). [`SpatialIndex`] captures exactly the
 //! three capabilities FDBSCAN needs — batched radius queries with
-//! callbacks, early termination, and the index mask — so the algorithm
-//! can run over the BVH (default) or the k-d tree (`fdbscan-kdtree`)
-//! and the choice can be measured (the `ablations` bench).
+//! callbacks, early termination, and the index mask — so the one fused
+//! main kernel ([`crate::fdbscan_impl::main_fused`]) runs over the BVH
+//! (default) or the k-d tree (`fdbscan-kdtree`) and the choice can be
+//! measured (the `ablations` bench).
 
 use std::ops::ControlFlow;
 
 use fdbscan_bvh::Bvh;
-use fdbscan_device::{Device, DeviceError};
+use fdbscan_device::{Counters, Device, DeviceError};
 use fdbscan_geom::{Aabb, Point};
 use fdbscan_kdtree::KdTree;
 
@@ -20,8 +21,29 @@ use fdbscan_kdtree::KdTree;
 pub struct IndexStats {
     /// Tree nodes visited.
     pub nodes_visited: u64,
+    /// Wide (8-lane) nodes classified; zero for binary trees.
+    pub wide_nodes_visited: u64,
+    /// 8-wide lane batches spent scanning leaf runs; zero for binary
+    /// trees.
+    pub wide_leaf_lanes: u64,
     /// Exact point-distance tests performed.
     pub distance_tests: u64,
+    /// Callback invocations (points reported within `eps`).
+    pub leaf_hits: u64,
+}
+
+impl IndexStats {
+    /// Charges this query's traversal work (nodes, wide nodes, wide leaf
+    /// lanes, distance tests) to `counters`. Reported neighbors are the
+    /// caller's to charge: only pair-resolving traversals count them as
+    /// `neighbors_found`.
+    #[inline]
+    pub(crate) fn charge(&self, counters: &Counters) {
+        counters.add_nodes_visited(self.nodes_visited);
+        counters.add_wide_nodes_visited(self.wide_nodes_visited);
+        counters.add_wide_leaf_lanes(self.wide_leaf_lanes);
+        counters.add_distances(self.distance_tests);
+    }
 }
 
 /// A search index over a point set, as required by the FDBSCAN framework.
@@ -39,16 +61,38 @@ pub trait SpatialIndex<const D: usize>: Sync {
     fn position_of(&self, id: u32) -> u32;
 
     /// Radius query; see the trait-level contract.
-    fn query_radius(
-        &self,
-        center: &Point<D>,
-        eps: f32,
-        cutoff: u32,
-        callback: &mut dyn FnMut(u32, u32) -> ControlFlow<()>,
-    ) -> IndexStats;
+    fn query_radius<F>(&self, center: &Point<D>, eps: f32, cutoff: u32, callback: F) -> IndexStats
+    where
+        F: FnMut(u32, u32) -> ControlFlow<()>;
 
     /// Approximate device-memory footprint in bytes.
     fn memory_bytes(&self) -> usize;
+}
+
+/// Counts the points within `eps` of `center` (the center included when
+/// indexed), stopping at `limit` (`usize::MAX` counts the full
+/// neighborhood), and charges the traversal to `counters`.
+///
+/// The one neighbor-count traversal: FDBSCAN's lazy core decision, the
+/// `minpts` sweep's full counts and the distributed ranks' core pass.
+pub fn count_neighbors<const D: usize, I: SpatialIndex<D>>(
+    index: &I,
+    counters: &Counters,
+    center: &Point<D>,
+    eps: f32,
+    limit: usize,
+) -> usize {
+    let mut count = 0usize;
+    let stats = index.query_radius(center, eps, 0, |_, _| {
+        count += 1;
+        if count >= limit {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
+    stats.charge(counters);
+    count
 }
 
 /// A point-only BVH (leaves are degenerate boxes), so every leaf-bounds
@@ -62,15 +106,18 @@ impl<const D: usize> SpatialIndex<D> for Bvh<D> {
         self.leaf_pos_of(id)
     }
 
-    fn query_radius(
-        &self,
-        center: &Point<D>,
-        eps: f32,
-        cutoff: u32,
-        callback: &mut dyn FnMut(u32, u32) -> ControlFlow<()>,
-    ) -> IndexStats {
+    fn query_radius<F>(&self, center: &Point<D>, eps: f32, cutoff: u32, callback: F) -> IndexStats
+    where
+        F: FnMut(u32, u32) -> ControlFlow<()>,
+    {
         let stats = self.for_each_in_radius(center, eps, cutoff, callback);
-        IndexStats { nodes_visited: stats.nodes_visited, distance_tests: stats.distance_tests() }
+        IndexStats {
+            nodes_visited: stats.nodes_visited,
+            wide_nodes_visited: stats.wide_nodes_visited,
+            wide_leaf_lanes: stats.wide_leaf_lanes,
+            distance_tests: stats.distance_tests(),
+            leaf_hits: stats.leaf_hits,
+        }
     }
 
     fn memory_bytes(&self) -> usize {
@@ -87,15 +134,27 @@ impl<const D: usize> SpatialIndex<D> for KdTree<D> {
         self.leaf_pos_of(id)
     }
 
-    fn query_radius(
+    fn query_radius<F>(
         &self,
         center: &Point<D>,
         eps: f32,
         cutoff: u32,
-        callback: &mut dyn FnMut(u32, u32) -> ControlFlow<()>,
-    ) -> IndexStats {
-        let stats = self.for_each_in_radius(center, eps, cutoff, callback);
-        IndexStats { nodes_visited: stats.nodes_visited, distance_tests: stats.points_tested }
+        mut callback: F,
+    ) -> IndexStats
+    where
+        F: FnMut(u32, u32) -> ControlFlow<()>,
+    {
+        let mut leaf_hits = 0;
+        let stats = self.for_each_in_radius(center, eps, cutoff, |pos, id| {
+            leaf_hits += 1;
+            callback(pos, id)
+        });
+        IndexStats {
+            nodes_visited: stats.nodes_visited,
+            distance_tests: stats.points_tested,
+            leaf_hits,
+            ..IndexStats::default()
+        }
     }
 
     fn memory_bytes(&self) -> usize {
@@ -129,7 +188,7 @@ mod tests {
 
     fn collect<I: SpatialIndex<2>>(index: &I, center: &Point2, eps: f32, cutoff: u32) -> Vec<u32> {
         let mut out = Vec::new();
-        index.query_radius(center, eps, cutoff, &mut |_, id| {
+        index.query_radius(center, eps, cutoff, |_, id| {
             out.push(id);
             ControlFlow::Continue(())
         });
@@ -176,7 +235,7 @@ mod tests {
         let device = Device::with_defaults();
         let points = random_points(500, 8);
         let bvh = build_bvh_index(&device, &points).unwrap();
-        let stats = bvh.query_radius(&points[0], 1.0, 0, &mut |_, _| ControlFlow::Continue(()));
+        let stats = bvh.query_radius(&points[0], 1.0, 0, |_, _| ControlFlow::Continue(()));
         assert!(stats.nodes_visited > 0);
         assert!(stats.distance_tests > 0); // at least itself
     }

@@ -4,14 +4,15 @@
 //! for a single run, but "it may be preferable to compute the full set
 //! `|N_eps(x)|`, since that cost will be amortized for multiple minpts
 //! values". [`MinptsSweep`] is that mode: it builds the index and the
-//! *full* neighbor counts once, then answers any `minpts` with just a
-//! core-flag kernel, the main phase and finalization.
+//! *full* neighbor counts once, then answers any `minpts` with just the
+//! fused main kernel ([`crate::fdbscan_impl::main_fused`]) and
+//! finalization: the core flags are read off the counts, so the kernel
+//! gets every point pre-decided and never counts.
 //!
 //! This is how practitioners actually tune `minpts` (see the
 //! `param_sweep` example), and it is the regime Figs. 4(a)(b)(c) and 6
 //! sweep over.
 
-use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 use fdbscan_bvh::Bvh;
@@ -20,9 +21,9 @@ use fdbscan_device::{Device, DeviceError, MemoryReservation};
 use fdbscan_geom::Point;
 use fdbscan_unionfind::AtomicLabels;
 
-use crate::framework::{finalize, run_pipeline, CoreFlags, Phase};
-use crate::generic::main_phase;
-use crate::index::build_bvh_index;
+use crate::fdbscan_impl::main_fused;
+use crate::framework::{finalize, run_pipeline, CoreFlags, LazyCore, Phase};
+use crate::index::{build_bvh_index, count_neighbors};
 use crate::labels::Clustering;
 use crate::stats::RunStats;
 use crate::{FdbscanOptions, Params};
@@ -59,17 +60,9 @@ impl<'a, const D: usize> MinptsSweep<'a, D> {
             let bvh_ref = &bvh;
             let counters = device.counters();
             device.try_launch_named("sweep.full_count", n, |i| {
-                let mut count = 0u32;
-                let stats = bvh_ref.for_each_in_radius(&points[i], eps, 0, |_, _| {
-                    count += 1;
-                    ControlFlow::Continue(())
-                });
+                let count = count_neighbors(bvh_ref, counters, &points[i], eps, usize::MAX);
                 // SAFETY: one writer per index.
-                unsafe { counts_view.write(i, count) };
-                counters.add_nodes_visited(stats.nodes_visited);
-                counters.add_wide_nodes_visited(stats.wide_nodes_visited);
-                counters.add_wide_leaf_lanes(stats.wide_leaf_lanes);
-                counters.add_distances(stats.distance_tests());
+                unsafe { counts_view.write(i, count as u32) };
             })?;
         }
         Ok(Self { device, points, eps, bvh, counts, setup_time: start.elapsed(), _memory: memory })
@@ -110,30 +103,18 @@ impl<'a, const D: usize> MinptsSweep<'a, D> {
         run_pipeline(device, "fdbscan-sweep", self.points, None, |p| {
             let _labels_mem = device.memory().reserve_array::<u32>(n)?;
             let labels = AtomicLabels::with_counters(n, device.counters_arc());
-            let core = CoreFlags::new(n);
 
-            // Core flags directly from the precomputed counts — the
-            // amortized replacement for the preprocessing traversal. (Also
-            // covers minpts <= 2: counts are exact, so lazy marking is not
-            // needed.)
-            p.phase(Phase::Preprocess, |_| {
-                let counts_ref = &self.counts;
-                let core_ref = &core;
-                device.try_launch_named("sweep.core_flags", n, |i| {
-                    if counts_ref[i] as usize >= minpts {
-                        core_ref.set(i as u32);
-                    }
-                })
+            // Definitive core flags straight from the precomputed counts —
+            // the amortized replacement for core counting. Every point is
+            // decided, so the fused kernel never runs a counting traversal.
+            let (core, lazy) = p.phase(Phase::Preprocess, |_| {
+                let flags: Vec<bool> = self.counts.iter().map(|&c| c as usize >= minpts).collect();
+                Ok((CoreFlags::from_flags(&flags), LazyCore::from_decided(&flags)))
             })?;
 
             p.phase(Phase::Main, |_| {
-                // Force the non-lazy resolution path: core flags are exact
-                // here, so even minpts <= 2 must use resolve_pair (hence
-                // max(3) in the params passed to the kernel — it only
-                // selects the branch; the actual minpts semantics live in
-                // the core flags).
-                let params = Params::new(self.eps, minpts.max(3));
-                main_phase(device, self.points, &self.bvh, params, options, &labels, &core)
+                let params = Params::new(self.eps, minpts);
+                main_fused(device, self.points, &self.bvh, params, options, &labels, &core, &lazy)
             })?;
 
             p.phase(Phase::Finalize, |_| Ok(finalize(device, &labels, &core)))
@@ -163,14 +144,17 @@ mod tests {
 
     #[test]
     fn sweep_matches_fdbscan_at_every_minpts() {
-        let d = device();
+        // Both paths run the same fused kernel over the same BVH with the
+        // same definitive core flags, so on the in-order engine they
+        // resolve the same pairs in the same order: bit-identical.
+        let d = Device::new(DeviceConfig::sequential());
         let points = random_points(500, 4.0, 61);
         let eps = 0.3;
         let sweep = MinptsSweep::new(&d, &points, eps).unwrap();
         for minpts in [1usize, 2, 3, 5, 10, 50] {
             let (from_sweep, _) = sweep.run(minpts).unwrap();
             let (direct, _) = crate::fdbscan(&d, &points, Params::new(eps, minpts)).unwrap();
-            assert_core_equivalent(&direct, &from_sweep);
+            assert_eq!(direct, from_sweep, "minpts {minpts}");
         }
     }
 

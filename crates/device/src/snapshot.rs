@@ -533,8 +533,8 @@ impl PipelineCheckpoint {
     }
 
     /// Writes the checkpoint into `dir` (created if missing) under its
-    /// canonical file name, atomically (unique temporary file + rename,
-    /// see [`write_atomic`]) so a crash mid-write leaves either the old
+    /// canonical file name, atomically (unique temporary file + rename)
+    /// so a crash mid-write leaves either the old
     /// checkpoint or none, even with concurrent writers in one dir.
     pub fn save_to_dir(&self, dir: &Path) -> Result<PathBuf, SnapshotError> {
         std::fs::create_dir_all(dir).map_err(|e| SnapshotError::Io(e.to_string()))?;
@@ -717,7 +717,7 @@ impl RunManifest {
     }
 
     /// Writes the manifest into `dir` as `<run_id>.manifest.json`,
-    /// atomically (see [`write_atomic`]) — a manifest is what makes a
+    /// atomically (see [`PipelineCheckpoint::save_to_dir`]) — a manifest is what makes a
     /// failed run replayable, so it gets the same torn-write protection
     /// as the checkpoint it accompanies.
     pub fn save_to_dir(&self, dir: &Path) -> Result<PathBuf, SnapshotError> {

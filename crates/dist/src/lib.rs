@@ -18,8 +18,10 @@
 //!    injection (drop, corruption, delay); damaged frames are detected
 //!    and retransmitted, bounded by [`MAX_MESSAGE_RETRIES`],
 //! 3. **local clustering** — each rank determines core status of its
-//!    owned points, exchanges ghost core flags, runs the FDBSCAN main
-//!    phase over its local set, and distills the result into a
+//!    owned points (`dist.core_count`, the shared neighbor-count
+//!    traversal), exchanges ghost core flags, runs FDBSCAN's fused main
+//!    kernel (`fdbscan_impl::main_fused`) over its local set with every
+//!    core flag pre-decided, and distills the result into a
 //!    [`RankSummary`] (core edge log + border claim log) that is
 //!    **checkpointed** through `device::snapshot` into a durable
 //!    [`SummaryStore`] *before* the merge begins; transient failures
@@ -85,9 +87,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use fdbscan::framework::CoreFlags;
-use fdbscan::generic::main_phase;
-use fdbscan::index::build_bvh_index;
+use fdbscan::fdbscan_impl::main_fused;
+use fdbscan::framework::{CoreFlags, LazyCore};
+use fdbscan::index::{build_bvh_index, count_neighbors};
 use fdbscan::labels::Clustering;
 use fdbscan::{FdbscanOptions, Params};
 use fdbscan_device::snapshot::fnv1a_64;
@@ -453,26 +455,12 @@ fn run_distributed<const D: usize>(
                                 // poison the BVH build.
                                 fdbscan::validate_finite(&set.local_points)?;
                                 let bvh = build_bvh_index(rank_device, &set.local_points)?;
-                                let bvh_ref = &bvh;
-                                let local_points_ref = &set.local_points;
-                                let to_global = &set.to_global;
-                                rank_device.try_launch(set.owned_count, |li| {
-                                    let mut count = 0usize;
-                                    bvh_ref.for_each_in_radius(
-                                        &local_points_ref[li],
-                                        eps,
-                                        0,
-                                        |_, _| {
-                                            count += 1;
-                                            if count >= minpts {
-                                                ControlFlow::Break(())
-                                            } else {
-                                                ControlFlow::Continue(())
-                                            }
-                                        },
-                                    );
-                                    if count >= minpts {
-                                        global_core.set(to_global[li]);
+                                let counters = rank_device.counters();
+                                let n_owned = set.owned_count;
+                                rank_device.try_launch_named("dist.core_count", n_owned, |li| {
+                                    let p = &set.local_points[li];
+                                    if count_neighbors(&bvh, counters, p, eps, minpts) >= minpts {
+                                        global_core.set(set.to_global[li]);
                                     }
                                 })
                             },
@@ -547,33 +535,31 @@ fn run_distributed<const D: usize>(
 
                                     // Owned flags were computed here;
                                     // ghost flags arrived over the wire.
-                                    let local_core = CoreFlags::new(local_n);
-                                    for (li, &gid) in set.to_global.iter().enumerate() {
-                                        let is_core = if li < set.owned_count {
-                                            global_core.get(gid)
-                                        } else {
-                                            gflags.get(&gid).copied().unwrap_or(false)
-                                        };
-                                        if is_core {
-                                            local_core.set(li as u32);
-                                        }
-                                    }
+                                    // Every point is decided, so the
+                                    // fused kernel never counts.
+                                    let flags: Vec<bool> = set
+                                        .to_global
+                                        .iter()
+                                        .enumerate()
+                                        .map(|(li, &gid)| {
+                                            if li < set.owned_count {
+                                                global_core.get(gid)
+                                            } else {
+                                                gflags.get(&gid).copied().unwrap_or(false)
+                                            }
+                                        })
+                                        .collect();
+                                    let local_core = CoreFlags::from_flags(&flags);
                                     let local_labels = AtomicLabels::new(local_n);
-                                    // minpts <= 2 would trigger lazy core
-                                    // marking in `main_phase`, which is
-                                    // wrong here (cores were computed
-                                    // globally); force the flag-driven
-                                    // path — the value only selects the
-                                    // branch.
-                                    let branch_params = Params::new(eps, minpts.max(3));
-                                    main_phase(
+                                    main_fused(
                                         rank_device,
                                         local_points,
                                         &bvh,
-                                        branch_params,
+                                        params,
                                         FdbscanOptions::default(),
                                         &local_labels,
                                         &local_core,
+                                        &LazyCore::from_decided(&flags),
                                     )?;
                                     local_labels.flatten(rank_device);
                                     let labels = local_labels.snapshot();
@@ -736,6 +722,43 @@ mod tests {
         assert_core_equivalent(&single, &dist);
         assert_eq!(stats.ranks.len(), 1);
         assert_eq!(stats.ranks[0].owned, 500);
+    }
+
+    #[test]
+    fn core_pass_is_a_named_launch_charged_to_the_local_phase() {
+        use fdbscan::MinptsSweep;
+        use fdbscan_device::SpanKind;
+
+        let d = Device::new(DeviceConfig::sequential().with_tracing());
+        let points = random_points(300, 3.0, 4);
+        let eps = 0.3;
+        // minpts above n: every core count runs to the end of its
+        // neighborhood, and no point is core.
+        let minpts = points.len() + 1;
+        let (_, stats) = distributed_fdbscan(&d, &points, Params::new(eps, minpts), 1).unwrap();
+        let core_launches = d
+            .tracer()
+            .events()
+            .iter()
+            .filter(|e| e.kind == SpanKind::Kernel && e.label == "dist.core_count")
+            .map(|e| e.path.clone())
+            .collect::<Vec<_>>();
+        assert_eq!(core_launches.len(), 1, "one core pass for one rank");
+        assert!(core_launches[0].contains("dist.local"), "{}", core_launches[0]);
+
+        // The same work on one device: the sweep's full counts are the
+        // core pass's traversals, and its run is the rank's main kernel
+        // (every point decided, over a BVH of the same point set).
+        let before = d.counters().snapshot();
+        let sweep = MinptsSweep::new(&d, &points, eps).unwrap();
+        let counting = d.counters().snapshot().since(&before).distance_computations;
+        let (_, main) = sweep.run(minpts).unwrap();
+        assert!(counting > 0);
+        assert_eq!(
+            stats.phase_work.local.distances,
+            counting + main.counters.distance_computations,
+            "the local phase charges the core pass and the main kernel"
+        );
     }
 
     #[test]
